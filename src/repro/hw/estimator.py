@@ -119,6 +119,9 @@ class HardwarePowerSimulator:
             self.block.netlist, self.library, telemetry=self.telemetry
         )
         self.max_cycles_per_transition = max_cycles_per_transition
+        #: Set by :meth:`poke_variable`: the combinational nets must be
+        #: settled before the next simulated run.
+        self._needs_settle = False
         self.invocations = 0
         self.total_cycles = 0
         self.total_energy = 0.0
@@ -204,11 +207,9 @@ class HardwarePowerSimulator:
     ) -> HwRunResult:
         """Replay an identical previous run, or simulate and record it."""
         sim = self.simulator
-        if getattr(self, "_needs_settle", False):
-            # Settling is itself a pure function of the state nets, so
-            # doing it before keying keeps the key canonical.
-            sim.settle()
-            self._needs_settle = False
+        # The key reads only the state nets.  Settling after a poke is a
+        # pure function of them and writes none of them, so a poked state
+        # is keyed as it stands, and only a simulated run settles it.
         values = sim.values
         key = (
             sim.netlist_token,
@@ -226,7 +227,8 @@ class HardwarePowerSimulator:
             if metrics is not None:
                 metrics.counter("hw.run_memo.hits").inc()
             recorded, values_after, toggles = entry
-            values[:] = values_after
+            sim.load(values_after)
+            self._needs_settle = False
             sim.cycle += recorded.cycles
             sim.total_energy += recorded.energy
             sim.total_toggles += toggles
@@ -244,6 +246,11 @@ class HardwarePowerSimulator:
         HW_RUN_MEMO_STATS.misses += 1
         if metrics is not None:
             metrics.counter("hw.run_memo.misses").inc()
+        if self._needs_settle:
+            # Flip-flop D inputs must follow the poked state before the
+            # first clock edge.
+            sim.settle()
+            self._needs_settle = False
         toggles_before = sim.total_toggles
         result = self._run_transition(transition_name, input_values, read_values)
         _HW_RUN_MEMO[key] = (
@@ -280,12 +287,6 @@ class HardwarePowerSimulator:
             port = self.block.input_ports.get(event)
             if port is not None:
                 inputs[port] = value & mask
-
-        if getattr(self, "_needs_settle", False):
-            # Make flip-flop D inputs consistent with poked state
-            # before the first clock edge of this run.
-            self.simulator.settle()
-            self._needs_settle = False
 
         script = list(read_values or [])
         script_pos = 0
@@ -367,6 +368,7 @@ class HardwarePowerSimulator:
         """
         port = self.block.register_ports[name]
         nets = self.block.netlist.output_ports[port]
-        for index, net in enumerate(nets):
-            self.simulator.values[net] = (value >> index) & 1
+        self.simulator.load(
+            [(value >> index) & 1 for index in range(len(nets))], nets
+        )
         self._needs_settle = True

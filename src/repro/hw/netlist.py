@@ -83,15 +83,29 @@ class Netlist:
         return len(self.dffs)
 
     def check(self) -> None:
-        """Verify structural sanity and evaluation-order validity.
+        """Verify structural sanity (one driver per net) and evaluation order.
 
         Failures raise :class:`NetlistError` with structured context:
         ``component`` names this netlist, ``net`` the offending net id.
         """
+        # Every net has one driver: the compiled simulator keeps a driven
+        # net's value in its driver's kernel.
         defined = {CONST0, CONST1}
-        for nets in self.input_ports.values():
-            defined.update(nets)
-        for dff in self.dffs:
+
+        def second_driver(net: int, kind: str, name: object) -> NetlistError:
+            return NetlistError(
+                "%s %r drives net %d, which already has a driver" % (kind, name, net),
+                component=self.name, net=net,
+            )
+
+        for name, nets in self.input_ports.items():
+            for net in nets:
+                if net in defined:
+                    raise second_driver(net, "input port", name)
+                defined.add(net)
+        for index, dff in enumerate(self.dffs):
+            if dff.q in defined:
+                raise second_driver(dff.q, "flip-flop", index)
             defined.add(dff.q)
         for gate in self.gates:
             for net in gate.inputs:
@@ -101,6 +115,8 @@ class Netlist:
                         % (gate.cell, net),
                         component=self.name, net=net,
                     )
+            if gate.output in defined:
+                raise second_driver(gate.output, "gate", gate.cell)
             defined.add(gate.output)
         for dff in self.dffs:
             if dff.d not in defined:

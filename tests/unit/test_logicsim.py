@@ -86,6 +86,20 @@ class TestSequential:
         simulator.step({"en": 0})
         assert simulator.peek("count") == frozen
 
+    def test_rejected_step_changes_nothing(self):
+        simulator = CompiledSimulator(self.counter_netlist())
+        simulator.step({"en": 1})
+        simulator.step({"en": 1})
+        assert simulator.peek("count") == 1
+        before = (list(simulator.values), simulator.cycle,
+                  simulator.total_energy, simulator.total_toggles)
+        with pytest.raises(KeyError):
+            simulator.step({"en": 1, "nope": 1})
+        assert (list(simulator.values), simulator.cycle,
+                simulator.total_energy, simulator.total_toggles) == before
+        simulator.step({"en": 1})
+        assert simulator.peek("count") == 2
+
     def test_reset_restores_initial_state(self):
         simulator = CompiledSimulator(self.counter_netlist())
         simulator.step({"en": 1})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.library import Cell, GateLibrary
-from repro.hw.netlist import CONST0, CONST1, NetlistBuilder, NetlistError
+from repro.hw.netlist import CONST0, CONST1, Gate, NetlistBuilder, NetlistError
 
 
 class TestGateLibrary:
@@ -97,6 +97,19 @@ class TestStructuralChecks:
         builder.gate("INV", bad_net)
         with pytest.raises(NetlistError):
             builder.build()
+
+    @pytest.mark.parametrize("driven", ["gate", "input", "dff"])
+    def test_check_rejects_a_second_driver(self, driven):
+        builder = NetlistBuilder("t")
+        a, b = builder.input_bus("ab", 2)
+        out = builder.and_(a, b)
+        q = builder.new_net()
+        builder.add_dff(out, q)
+        target = {"gate": out, "input": b, "dff": q}[driven]
+        builder.netlist.gates.append(Gate("INV", (a,), target))
+        with pytest.raises(NetlistError) as excinfo:
+            builder.build()
+        assert excinfo.value.net == target
 
     def test_stats(self):
         builder = NetlistBuilder("t")

@@ -5,7 +5,12 @@ import pytest
 from repro.cfsm.builder import CfsmBuilder
 from repro.cfsm.expr import add, const, event_value, lt, mul, var
 from repro.cfsm.sgraph import assign, emit, if_, loop, shared_read
-from repro.hw.estimator import HardwarePowerSimulator, HwEstimatorError
+from repro.hw.estimator import (
+    HW_RUN_MEMO_STATS,
+    HardwarePowerSimulator,
+    HwEstimatorError,
+    clear_hw_run_memo,
+)
 from repro.hw.power import probabilistic_power, propagate_probabilities
 from repro.hw.synth import (
     AluOp,
@@ -126,6 +131,49 @@ class TestHardwareEstimator:
         simulator = HardwarePowerSimulator(make_cfsm([assign("a", const(1))]))
         simulator.poke_variable("b", 123)
         assert simulator.read_variable("b") == 123
+
+
+class TestRunMemo:
+    """A replayed run leaves the simulator where re-simulation would."""
+
+    @staticmethod
+    def run_sequence(clear_between):
+        cfsm = make_cfsm([
+            assign("a", add(var("a"), event_value("GO"))),
+            if_(lt(var("b"), var("a")), [emit("OUT", var("a"))]),
+        ])
+
+        def runs(simulator):
+            yield simulator.run_transition("t", {"GO": 5})
+            simulator.poke_variable("b", 2)
+            yield simulator.run_transition("t", {"GO": 1})
+
+        clear_hw_run_memo()
+        first = HardwarePowerSimulator(cfsm)
+        results = list(runs(first))
+        if clear_between:
+            clear_hw_run_memo()
+        # A fresh simulator repeats ``first``'s runs, the one after a poke
+        # included: both are memo hits unless the memo was cleared.  The
+        # runs after them (also after a poke) are misses.
+        second = HardwarePowerSimulator(cfsm)
+        results += list(runs(second))
+        hits = HW_RUN_MEMO_STATS.hits
+        results.append(second.run_transition("t", {"GO": 9}))
+        second.poke_variable("b", 7)
+        results.append(second.run_transition("t", {"GO": 1}))
+        assert HW_RUN_MEMO_STATS.hits == hits
+        sim = second.simulator
+        return (results, list(sim.values), sim.cycle, sim.total_energy,
+                sim.total_toggles, second.read_variable("a"), hits)
+
+    def test_memo_hits_then_misses_match_resimulation(self):
+        replayed = self.run_sequence(clear_between=False)
+        simulated = self.run_sequence(clear_between=True)
+        assert replayed[-1] == 2
+        assert simulated[-1] == 0
+        assert replayed[:-1] == simulated[:-1]
+        assert replayed[5] == 5 + 1 + 9 + 1
 
 
 class TestProbabilisticPower:
