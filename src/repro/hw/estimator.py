@@ -9,7 +9,6 @@ netlist, exactly like a real hardware block between reactions.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
@@ -17,6 +16,7 @@ from repro.errors import ReproError
 from repro.cfsm.model import Cfsm
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
 from repro.hw.logicsim import CompiledSimulator
+from repro.lru import LruCache
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.hw.synth import (
     MEM_DATA_IN,
@@ -50,43 +50,17 @@ class HwEstimatorError(ReproError):
 #: joule-identical to re-simulation.
 #:
 #: Keyed by (netlist token, transition, DFF/PI state, inputs, read
-#: script, cycle limit); values are (result, post-run net values,
-#: toggle count).
-_HW_RUN_MEMO: "OrderedDict[Tuple, Tuple[HwRunResult, List[int], int]]" = OrderedDict()
+#: script, cycle limit); values are (result, post-run net values as
+#: ``bytes`` -- nets are single bits -- and toggle count).  Entries are
+#: a few KB each (the net snapshot plus the per-cycle energy trace).
+_HW_RUN_MEMO: "LruCache[Tuple[HwRunResult, bytes, int]]" = LruCache(capacity=4096)
 
-#: Bound on memo entries (LRU).  Entries are a few KB each (one net-
-#: state snapshot plus the per-cycle energy trace).
-_HW_RUN_MEMO_CAPACITY = 4096
-
-
-class HwRunMemoStats:
-    """Process-wide hit/miss accounting for the run memo."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-HW_RUN_MEMO_STATS = HwRunMemoStats()
+HW_RUN_MEMO_STATS = _HW_RUN_MEMO.stats
 
 
 def clear_hw_run_memo() -> None:
     """Drop all memoized gate-level runs (tests and benchmarks)."""
     _HW_RUN_MEMO.clear()
-    HW_RUN_MEMO_STATS.reset()
 
 
 @dataclass
@@ -222,8 +196,6 @@ class HardwarePowerSimulator:
         entry = _HW_RUN_MEMO.get(key)
         metrics = self.telemetry.metrics if self.telemetry.enabled else None
         if entry is not None:
-            _HW_RUN_MEMO.move_to_end(key)
-            HW_RUN_MEMO_STATS.hits += 1
             if metrics is not None:
                 metrics.counter("hw.run_memo.hits").inc()
             recorded, values_after, toggles = entry
@@ -243,7 +215,6 @@ class HardwarePowerSimulator:
                 mem_read_addresses=list(recorded.mem_read_addresses),
                 mem_writes=list(recorded.mem_writes),
             )
-        HW_RUN_MEMO_STATS.misses += 1
         if metrics is not None:
             metrics.counter("hw.run_memo.misses").inc()
         if self._needs_settle:
@@ -253,7 +224,7 @@ class HardwarePowerSimulator:
             self._needs_settle = False
         toggles_before = sim.total_toggles
         result = self._run_transition(transition_name, input_values, read_values)
-        _HW_RUN_MEMO[key] = (
+        _HW_RUN_MEMO.put(key, (
             HwRunResult(
                 cycles=result.cycles,
                 energy=result.energy,
@@ -262,12 +233,9 @@ class HardwarePowerSimulator:
                 mem_read_addresses=list(result.mem_read_addresses),
                 mem_writes=list(result.mem_writes),
             ),
-            list(values),
+            bytes(values),
             sim.total_toggles - toggles_before,
-        )
-        if len(_HW_RUN_MEMO) > _HW_RUN_MEMO_CAPACITY:
-            _HW_RUN_MEMO.popitem(last=False)
-            HW_RUN_MEMO_STATS.evictions += 1
+        ))
         return result
 
     def _run_transition(

@@ -25,7 +25,6 @@ check the gate-level netlist bit-for-bit against behavioral execution.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ReproError
@@ -55,6 +54,7 @@ MEM_WRITE_DATA = "__MEMWD"
 MEM_DATA_IN = "__MEMDATA"
 from repro.hw.library import GateLibrary
 from repro.hw.netlist import Netlist, NetlistBuilder
+from repro.lru import LruCache
 
 
 class SynthesisError(ReproError):
@@ -501,39 +501,14 @@ def synthesize_cfsm(
 #: The cached SynthesizedBlock is shared read-only: all mutable
 #: simulation state (net values, registers) lives in each
 #: CompiledSimulator instance.
-_SYNTH_CACHE: "OrderedDict[str, SynthesizedBlock]" = OrderedDict()
+_SYNTH_CACHE: LruCache[SynthesizedBlock] = LruCache(capacity=128)
 
-_SYNTH_CACHE_CAPACITY = 128
-
-
-class SynthCacheStats:
-    """Process-wide hit/miss accounting for the synthesis cache."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-SYNTH_CACHE_STATS = SynthCacheStats()
+SYNTH_CACHE_STATS = _SYNTH_CACHE.stats
 
 
 def clear_synth_cache() -> None:
     """Drop all cached synthesis results (tests and benchmarks)."""
     _SYNTH_CACHE.clear()
-    SYNTH_CACHE_STATS.reset()
 
 
 def synthesize_cfsm_cached(
@@ -545,16 +520,9 @@ def synthesize_cfsm_cached(
     resolved = library or GateLibrary.default()
     key = cfsm_digest(cfsm, resolved.signature())
     block = _SYNTH_CACHE.get(key)
-    if block is not None:
-        _SYNTH_CACHE.move_to_end(key)
-        SYNTH_CACHE_STATS.hits += 1
-        return block
-    SYNTH_CACHE_STATS.misses += 1
-    block = synthesize_cfsm(cfsm, resolved)
-    _SYNTH_CACHE[key] = block
-    if len(_SYNTH_CACHE) > _SYNTH_CACHE_CAPACITY:
-        _SYNTH_CACHE.popitem(last=False)
-        SYNTH_CACHE_STATS.evictions += 1
+    if block is None:
+        block = synthesize_cfsm(cfsm, resolved)
+        _SYNTH_CACHE.put(key, block)
     return block
 
 

@@ -22,7 +22,6 @@ Register conventions:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 from repro.errors import ReproError
@@ -39,6 +38,7 @@ from repro.cfsm.sgraph import (
     SharedWrite,
     Statement,
 )
+from repro.lru import LruCache
 from repro.sw.isa import Opcode
 from repro.sw.program import Program, ProgramBuilder
 
@@ -438,39 +438,14 @@ def compile_cfsm(cfsm: Cfsm, memory_base: int = 0) -> CompiledCfsm:
 #: point; the compiled program and memory map are immutable, so they
 #: are shared across masters (run-time state — registers, data memory —
 #: lives in each Iss / master).
-_CODEGEN_CACHE: "OrderedDict[str, CompiledCfsm]" = OrderedDict()
+_CODEGEN_CACHE: LruCache[CompiledCfsm] = LruCache(capacity=128)
 
-_CODEGEN_CACHE_CAPACITY = 128
-
-
-class CodegenCacheStats:
-    """Process-wide hit/miss accounting for the codegen cache."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-CODEGEN_CACHE_STATS = CodegenCacheStats()
+CODEGEN_CACHE_STATS = _CODEGEN_CACHE.stats
 
 
 def clear_codegen_cache() -> None:
     """Drop all cached compilation results (tests and benchmarks)."""
     _CODEGEN_CACHE.clear()
-    CODEGEN_CACHE_STATS.reset()
 
 
 def compile_cfsm_cached(cfsm: Cfsm, memory_base: int = 0) -> CompiledCfsm:
@@ -479,14 +454,7 @@ def compile_cfsm_cached(cfsm: Cfsm, memory_base: int = 0) -> CompiledCfsm:
 
     key = cfsm_digest(cfsm, memory_base)
     compiled = _CODEGEN_CACHE.get(key)
-    if compiled is not None:
-        _CODEGEN_CACHE.move_to_end(key)
-        CODEGEN_CACHE_STATS.hits += 1
-        return compiled
-    CODEGEN_CACHE_STATS.misses += 1
-    compiled = compile_cfsm(cfsm, memory_base=memory_base)
-    _CODEGEN_CACHE[key] = compiled
-    if len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
-        _CODEGEN_CACHE.popitem(last=False)
-        CODEGEN_CACHE_STATS.evictions += 1
+    if compiled is None:
+        compiled = compile_cfsm(cfsm, memory_base=memory_base)
+        _CODEGEN_CACHE.put(key, compiled)
     return compiled

@@ -21,12 +21,17 @@ path pays it only once, so the additive macro-model over-estimates.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, MutableMapping, Optional, Set, Tuple
+from array import array
+from dataclasses import dataclass, field, fields
+from itertools import count, repeat
+from typing import (
+    Callable, Dict, Iterable, List, MutableMapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 from repro.errors import ReproError
 
 from repro.cfsm.expr import _BINOP_FUNCS
+from repro.lru import LruCache
 from repro.sw.isa import BASE_CYCLES, Instruction, NUM_REGISTERS, Opcode, class_of
 from repro.sw.power_model import InstructionPowerModel
 from repro.sw.program import Program
@@ -61,44 +66,26 @@ _ALU_SEMANTICS = {
 # exploration recompiles identical CFSMs into structurally identical
 # programs (one master per design point), decode tables are shared
 # across Program instances through a process-wide table keyed by the
-# instruction tuple (Instruction is a frozen, hashable dataclass).
+# program's content: its instruction tuple (Instruction is a frozen,
+# hashable dataclass) and its labels.  Each entry also names the
+# program content with a process-unique token, which the run memo keys
+# on; tokens are never reused, so memo entries of an evicted program
+# go stale and age out.
 
-_EXECUTE_ATTR = "_iss_decode_table"
+_DECODED_ATTR = "_iss_decoded"
 
-_DECODE_CACHE: "OrderedDict[Tuple[Instruction, ...], List[tuple]]" = OrderedDict()
+#: At most 128 distinct programs stay decoded (LRU eviction).
+_DECODE_CACHE: "LruCache[Tuple[List[tuple], int]]" = LruCache(capacity=128)
 
-#: Bound on distinct programs kept decoded (LRU eviction).
-_DECODE_CACHE_CAPACITY = 128
+DECODE_CACHE_STATS = _DECODE_CACHE.stats
 
-
-class DecodeCacheStats:
-    """Process-wide hit/miss accounting for the ISS decode cache."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-DECODE_CACHE_STATS = DecodeCacheStats()
+#: Source of program and power-model tokens.
+_TOKENS = count(1)
 
 
 def clear_decode_cache() -> None:
     """Drop all shared decode tables (tests and benchmarks)."""
     _DECODE_CACHE.clear()
-    DECODE_CACHE_STATS.reset()
 
 
 def _exec_nop(iss: "Iss", instruction: Instruction,
@@ -203,29 +190,26 @@ def _decode_instruction(instruction: Instruction) -> tuple:
     )
 
 
-def _decode_program(program: Program) -> List[tuple]:
-    """Decode table for ``program``, shared through the process cache."""
-    table = getattr(program, _EXECUTE_ATTR, None)
-    if table is not None:
+def _decode_program(program: Program) -> Tuple[List[tuple], int]:
+    """Decode table and content token of ``program``, shared process-wide."""
+    decoded = getattr(program, _DECODED_ATTR, None)
+    if decoded is not None:
         DECODE_CACHE_STATS.hits += 1
-        return table
-    key = tuple(program.instructions)
-    table = _DECODE_CACHE.get(key)
-    if table is not None:
-        _DECODE_CACHE.move_to_end(key)
-        DECODE_CACHE_STATS.hits += 1
-    else:
-        DECODE_CACHE_STATS.misses += 1
-        table = [_decode_instruction(instruction) for instruction in key]
-        _DECODE_CACHE[key] = table
-        if len(_DECODE_CACHE) > _DECODE_CACHE_CAPACITY:
-            _DECODE_CACHE.popitem(last=False)
-            DECODE_CACHE_STATS.evictions += 1
+        return decoded
+    instructions = tuple(program.instructions)
+    key = (instructions, tuple(sorted(program.labels.items())))
+    decoded = _DECODE_CACHE.get(key)
+    if decoded is None:
+        decoded = (
+            [_decode_instruction(instruction) for instruction in instructions],
+            next(_TOKENS),
+        )
+        _DECODE_CACHE.put(key, decoded)
     try:
-        setattr(program, _EXECUTE_ATTR, table)
+        setattr(program, _DECODED_ATTR, decoded)
     except AttributeError:  # pragma: no cover - exotic Program subclasses
         pass
-    return table
+    return decoded
 
 
 class IssError(ReproError):
@@ -246,6 +230,111 @@ class IssResult:
     memory_writes: List[int] = field(default_factory=list)
     executed: List[Instruction] = field(default_factory=list)
     stopped_at_breakpoint: Optional[str] = None
+
+
+# -- exact run memo -------------------------------------------------------------
+#
+# The software twin of the hardware estimator's run memo.  An invocation
+# is a deterministic function of (program, entry, registers, flags,
+# instruction bound, power model) plus the values its loads return.
+# Each load returns either memory as it was at entry -- recorded as the
+# first value read from an address not yet stored to, and checked
+# before a replay -- or a value the run itself stored, which the rest of
+# the key already determines.  A replay therefore applies the recorded
+# stores, restores registers and flags, and returns an equal IssResult
+# without interpreting one instruction: reports stay bit-identical.
+# Runs with ``record_trace`` or breakpoints are not memoized, and a run
+# that raises records nothing.
+
+
+class _Recording(NamedTuple):
+    """One memoized invocation; address sequences are packed."""
+
+    read_addresses: Sequence[int]
+    read_values: Tuple[int, ...]
+    store_addresses: Sequence[int]
+    store_values: Tuple[int, ...]
+    registers: Tuple[int, ...]
+    flag_eq: bool
+    flag_lt: bool
+    cycles: int
+    energy: float
+    instruction_count: int
+    stall_cycles: int
+    branches_taken: int
+    class_counts: Tuple[Tuple[str, int], ...]
+    memory_reads: Sequence[int]
+    memory_writes: Sequence[int]
+
+
+#: Keyed by (program token, power-model token, entry, registers, flags,
+#: instruction bound); each value holds the newest recordings of that
+#: key, which differ in the values their first reads saw.
+_ISS_RUN_MEMO: "LruCache[Tuple[_Recording, ...]]" = LruCache(capacity=1024)
+
+_RECORDINGS_PER_KEY = 2
+
+ISS_RUN_MEMO_STATS = _ISS_RUN_MEMO.stats
+
+#: Power-model signature -> token.  Models are treated as immutable
+#: after first use, as the model's own energy cache already assumes.
+_MODEL_TOKENS: "LruCache[int]" = LruCache(capacity=64)
+
+_ZEROS = repeat(0)
+
+
+def clear_iss_run_memo() -> None:
+    """Drop all memoized ISS invocations (tests and benchmarks)."""
+    _ISS_RUN_MEMO.clear()
+
+
+def _model_token(model: InstructionPowerModel) -> int:
+    """Token shared by every model with equal type and field values."""
+    signature = (type(model),) + tuple(
+        tuple(sorted(value.items())) if isinstance(value, dict) else value
+        for value in (getattr(model, spec.name) for spec in fields(model))
+    )
+    token = _MODEL_TOKENS.touch(signature)
+    if token is None:
+        token = next(_TOKENS)
+        _MODEL_TOKENS.put(signature, token)
+    return token
+
+
+def _pack(values: Iterable[int]) -> Sequence[int]:
+    """A flat ``array('q')``, or a tuple for values beyond 64 bits."""
+    values = tuple(values)
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):
+        return values
+
+
+class _RecordingMemory:
+    """The caller's memory as seen by one run, noting what replay needs.
+
+    ``first_reads`` holds the value each address first returned to a
+    load before the run stored to it.  ``stores`` holds each stored
+    address's last value in first-store order: applied with ``update``
+    it leaves a dict exactly as the run's stores, in order, did.
+    """
+
+    __slots__ = ("memory", "first_reads", "stores")
+
+    def __init__(self, memory: MutableMapping[int, int]) -> None:
+        self.memory = memory
+        self.first_reads: Dict[int, int] = {}
+        self.stores: Dict[int, int] = {}
+
+    def get(self, address: int, default: int) -> int:
+        value = self.memory.get(address, default)
+        if address not in self.stores:
+            self.first_reads.setdefault(address, value)
+        return value
+
+    def __setitem__(self, address: int, value: int) -> None:
+        self.memory[address] = value
+        self.stores[address] = value
 
 
 class Iss:
@@ -274,7 +363,8 @@ class Iss:
         self._flag_eq = False
         self._flag_lt = False
         misses_before = DECODE_CACHE_STATS.misses
-        self._decode = _decode_program(program)
+        self._decode, self._program_token = _decode_program(program)
+        self._model_token = _model_token(self.power_model)
         metrics = self.telemetry.metrics
         if DECODE_CACHE_STATS.misses == misses_before:
             metrics.counter("iss.decode_cache.hits").inc()
@@ -303,17 +393,83 @@ class Iss:
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return self._run_program(entry, memory, breakpoints)
+            return self._run_memoized(entry, memory, breakpoints)
         with telemetry.tracer.span(
             "iss.run", track="iss", args={"entry": entry}
         ) as span:
-            result = self._run_program(entry, memory, breakpoints)
+            result = self._run_memoized(entry, memory, breakpoints)
             span.set("cycles", result.cycles)
             span.set("instructions", result.instruction_count)
         metrics = telemetry.metrics
         metrics.counter("iss.invocations").inc()
         metrics.counter("iss.instructions").inc(result.instruction_count)
         metrics.counter("iss.cycles").inc(result.cycles)
+        return result
+
+    def _run_memoized(
+        self,
+        entry: str,
+        memory: MutableMapping[int, int],
+        breakpoints: Optional[Set[str]] = None,
+    ) -> IssResult:
+        """Replay an identical previous invocation, or run and record it."""
+        if breakpoints or self.record_trace:
+            return self._run_program(entry, memory, breakpoints)
+        key = (
+            self._program_token,
+            self._model_token,
+            entry,
+            tuple(self.registers),
+            self._flag_eq,
+            self._flag_lt,
+            self.max_instructions,
+        )
+        recordings = _ISS_RUN_MEMO.touch(key) or ()
+        metrics = self.telemetry.metrics if self.telemetry.enabled else None
+        for recording in recordings:
+            seen = tuple(map(memory.get, recording.read_addresses, _ZEROS))
+            if seen != recording.read_values:
+                continue
+            ISS_RUN_MEMO_STATS.hits += 1
+            if metrics is not None:
+                metrics.counter("iss.run_memo.hits").inc()
+            memory.update(zip(recording.store_addresses, recording.store_values))
+            self.registers[:] = recording.registers
+            self._flag_eq = recording.flag_eq
+            self._flag_lt = recording.flag_lt
+            return IssResult(
+                cycles=recording.cycles,
+                energy=recording.energy,
+                instruction_count=recording.instruction_count,
+                stall_cycles=recording.stall_cycles,
+                branches_taken=recording.branches_taken,
+                class_counts=dict(recording.class_counts),
+                memory_reads=list(recording.memory_reads),
+                memory_writes=list(recording.memory_writes),
+            )
+        ISS_RUN_MEMO_STATS.misses += 1
+        if metrics is not None:
+            metrics.counter("iss.run_memo.misses").inc()
+        seen_memory = _RecordingMemory(memory)
+        result = self._run_program(entry, seen_memory)  # type: ignore[arg-type]
+        recording = _Recording(
+            _pack(seen_memory.first_reads),
+            tuple(seen_memory.first_reads.values()),
+            _pack(seen_memory.stores),
+            tuple(seen_memory.stores.values()),
+            tuple(self.registers),
+            self._flag_eq,
+            self._flag_lt,
+            result.cycles,
+            result.energy,
+            result.instruction_count,
+            result.stall_cycles,
+            result.branches_taken,
+            tuple(result.class_counts.items()),
+            _pack(result.memory_reads),
+            _pack(result.memory_writes),
+        )
+        _ISS_RUN_MEMO.put(key, (recording,) + recordings[:_RECORDINGS_PER_KEY - 1])
         return result
 
     def _run_program(

@@ -1,21 +1,35 @@
 """Unit tests for the process-wide hot-path caches.
 
-Five caches accelerate repeated co-estimation: compiled-simulator,
-synthesis, codegen, ISS decode, and the exact-state hardware run memo.
-Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
+Six caches accelerate repeated co-estimation: compiled-simulator,
+synthesis, codegen, ISS decode, and the exact hardware and ISS run
+memos.  Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
 mirrors it into the metrics registry.  Caching must never change a
 single reported number — warm runs replay losslessly.
 """
 
 import dataclasses
+import sys
+import threading
 
 from repro.core import PowerCoEstimator
 from repro.core.caching import WarmStartCache
-from repro.hw.estimator import HW_RUN_MEMO_STATS, clear_hw_run_memo
-from repro.hw.logicsim import COMPILE_CACHE_STATS, clear_compile_cache
+from repro.hw import logicsim
+from repro.hw.estimator import (
+    HW_RUN_MEMO_STATS,
+    HardwarePowerSimulator,
+    _HW_RUN_MEMO,
+    clear_hw_run_memo,
+)
+from repro.hw.logicsim import COMPILE_CACHE_STATS, CompiledSimulator, clear_compile_cache
+from repro.hw.netlist import NetlistBuilder
 from repro.hw.synth import SYNTH_CACHE_STATS, clear_synth_cache
 from repro.sw.codegen import CODEGEN_CACHE_STATS, clear_codegen_cache
-from repro.sw.iss import DECODE_CACHE_STATS, clear_decode_cache
+from repro.sw.iss import (
+    DECODE_CACHE_STATS,
+    ISS_RUN_MEMO_STATS,
+    clear_decode_cache,
+    clear_iss_run_memo,
+)
 from repro.systems import tcpip
 from repro.telemetry import Telemetry
 
@@ -25,6 +39,7 @@ ALL_STATS = {
     "codegen": CODEGEN_CACHE_STATS,
     "iss_decode": DECODE_CACHE_STATS,
     "hw_run_memo": HW_RUN_MEMO_STATS,
+    "iss_run_memo": ISS_RUN_MEMO_STATS,
 }
 
 #: Metrics-registry counters each cache maintains when telemetry is on.
@@ -32,6 +47,7 @@ COUNTER_NAMES = {
     "compile": "hw.compile_cache",
     "iss_decode": "iss.decode_cache",
     "hw_run_memo": "hw.run_memo",
+    "iss_run_memo": "iss.run_memo",
 }
 
 
@@ -41,6 +57,7 @@ def _clear_all():
     clear_codegen_cache()
     clear_decode_cache()
     clear_hw_run_memo()
+    clear_iss_run_memo()
 
 
 def _run(telemetry=None):
@@ -163,3 +180,64 @@ class TestRunMemoExactness:
         assert _canonical(replayed) == _canonical(first)
         # Energy totals compare exactly (floats, no tolerance).
         assert replayed.total_energy_j == first.total_energy_j
+
+    def test_replayed_run_restores_net_values_as_a_list(self):
+        _clear_all()
+        bundle = tcpip.build_system(dma_block_words=8, num_packets=1)
+        cfsm = bundle.network.cfsms["checksum"]
+        first = HardwarePowerSimulator(cfsm)
+        second = HardwarePowerSimulator(cfsm)
+        transition = cfsm.transitions[0].name
+        first.run_transition(transition)
+        hits = HW_RUN_MEMO_STATS.hits
+        second.run_transition(transition)
+        assert HW_RUN_MEMO_STATS.hits == hits + 1
+        assert type(second.simulator.values) is list
+        assert second.simulator.values == first.simulator.values
+        # Net values are single bits: the memo keeps them as bytes.
+        (entry,) = _HW_RUN_MEMO._entries.values()
+        assert isinstance(entry[1], bytes)
+
+
+def _one_gate_netlist(cell):
+    builder = NetlistBuilder("gate")
+    inputs = builder.input_bus("x", 2)
+    builder.output_bus("y", [builder.gate(cell, inputs[0], inputs[1])])
+    return builder.build()
+
+
+class TestConcurrentEviction:
+    def test_hits_survive_eviction_by_another_thread(self, monkeypatch):
+        """Three threads share a two-entry compile cache over four netlists.
+
+        Another thread may evict a key between a hit's lookup and its LRU
+        touch.  Before the shared LRU helper that raised ``KeyError`` in
+        at least one thread on most runs; the race is probabilistic, so an
+        unfixed cache can also pass this test by luck.
+        """
+        _clear_all()
+        monkeypatch.setattr(logicsim._COMPILE_CACHE, "capacity", 2)
+        netlists = [_one_gate_netlist(cell)
+                    for cell in ("AND2", "OR2", "XOR2", "NAND2")]
+        errors = []
+
+        def construct(offset):
+            try:
+                for index in range(4000):
+                    CompiledSimulator(netlists[(index + offset) % 4])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=construct, args=(offset,))
+                       for offset in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert COMPILE_CACHE_STATS.evictions > 0
