@@ -72,6 +72,7 @@ def clear_process_caches() -> None:
     sequential code path — the baseline the ``BENCH_explorer.json``
     speedups are measured against.
     """
+    from repro.cfsm.sgraph import clear_sgraph_compile_cache
     from repro.hw.estimator import clear_hw_run_memo
     from repro.hw.logicsim import clear_compile_cache
     from repro.hw.synth import clear_synth_cache
@@ -83,6 +84,7 @@ def clear_process_caches() -> None:
     clear_codegen_cache()
     clear_decode_cache()
     clear_hw_run_memo()
+    clear_sgraph_compile_cache()
 
 
 def write_metrics(name: str, snapshot: Dict) -> str:

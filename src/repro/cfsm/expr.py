@@ -3,7 +3,7 @@
 Expressions are integer-valued and side-effect free.  They are the
 shared intermediate form consumed by
 
-* the behavioral interpreter (:mod:`repro.cfsm.sgraph`),
+* the s-graph body compiler (:mod:`repro.cfsm.sgraph`),
 * the software code generator (:mod:`repro.sw.codegen`),
 * the hardware synthesizer (:mod:`repro.hw.synth`), and
 * the macro-operation extractor (:mod:`repro.cfsm.actions`).
@@ -166,8 +166,8 @@ class BinaryOp(Expression):
 
     The structural queries (variables, event values, macro-ops) are
     memoized on first use: expression trees are immutable, and the
-    behavioral interpreter asks for these lists on every execution of
-    every statement — the hottest loop of the whole co-simulation.
+    master asks for a transition guard's event values on every
+    enabled-transition check.
     """
 
     op: str

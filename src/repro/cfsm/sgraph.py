@@ -2,10 +2,20 @@
 
 An s-graph is a small structured program (assignments, event emissions,
 two-way tests, and counted loops) executed atomically when a transition
-fires.  The behavioral interpreter in this module is the *reference
-semantics* used by the simulation master; the software code generator
-and the hardware synthesizer must agree with it (this is checked by
-property-based tests).
+fires.  Its execution is the *reference semantics* used by the
+simulation master; the software code generator and the hardware
+synthesizer must agree with it (this is checked by property-based
+tests).
+
+As POLIS synthesizes each s-graph into C, :meth:`SGraph.execute` runs
+each body as one generated Python function: expressions are inlined,
+and the static part of the trace (macro-operations and memory
+references) is added as constant tuples.  The functions are cached
+process-wide by body content, so a design-space sweep that rebuilds
+its system for every point compiles each body once.  A plain
+tree-walking interpreter, kept in the test suite
+(``tests/unit/test_sgraph_reference.py``), is the oracle the compiled
+bodies are checked against.
 
 Executing an s-graph produces an :class:`ExecutionTrace` that records
 
@@ -15,19 +25,28 @@ Executing an s-graph produces an :class:`ExecutionTrace` that records
 * the memory references performed (fed to the cache simulator by the
   master, exactly as in the paper where the ISS assumes 100% hits and
   the cache simulator is attached directly to PTOLEMY),
-* the events emitted, and
-* the visited node sequence (the hardware estimator maps one s-graph
-  node to one controller state / clock cycle).
+* the events emitted, the variable updates, the loop iterations, and
+  the shared-memory words read and written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-from repro.errors import ReproError
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cfsm.actions import MacroOp, MacroOpKind, interned_macro_op
-from repro.cfsm.expr import Expression, _coerce
+from repro.cfsm.expr import (
+    _BINOP_FUNCS,
+    BinaryOp,
+    Const,
+    EventValue,
+    Expression,
+    UnaryOp,
+    Var,
+    _coerce,
+)
+from repro.errors import ReproError
+from repro.lru import LruCache
 
 #: Safety bound on loop iterations; a behavioral model that exceeds it
 #: almost certainly encodes a non-terminating reaction.
@@ -55,7 +74,7 @@ _REF_CACHE: Dict[Tuple[str, bool], MemoryReference] = {}
 
 
 def _memory_ref(name: str, is_write: bool) -> MemoryReference:
-    """Interned reference instances for the interpreter's hot loop."""
+    """Interned reference instances, shared by every trace."""
     key = (name, is_write)
     ref = _REF_CACHE.get(key)
     if ref is None:
@@ -189,7 +208,6 @@ class ExecutionTrace:
     emitted: List[Tuple[str, int]] = field(default_factory=list)
     memory_refs: List[MemoryReference] = field(default_factory=list)
     var_updates: Dict[str, int] = field(default_factory=dict)
-    visited: List[int] = field(default_factory=list)
     loop_iterations: int = 0
     shared_reads: List[Tuple[int, int]] = field(default_factory=list)
     shared_writes: List[Tuple[int, int]] = field(default_factory=list)
@@ -210,7 +228,7 @@ class SGraph:
     def __init__(self, statements: Sequence[Statement], max_iterations: int = DEFAULT_MAX_ITERATIONS) -> None:
         self.statements = list(statements)
         self.max_iterations = max_iterations
-        self._shared = None
+        self._run: Optional[Callable] = None
         next_id = 1
         for stmt in self.statements:
             next_id = stmt._assign_ids(next_id)
@@ -277,121 +295,266 @@ class SGraph:
         ``shared`` must provide ``read(addr)``/``write(addr, value)``
         when the body contains shared-memory statements.
         """
-        trace = ExecutionTrace()
-        path: List[Tuple[int, str]] = []
-        self._shared = shared
-        try:
-            self._run_block(self.statements, env, trace, path)
-        finally:
-            self._shared = None
-        trace.path = tuple(path)
-        return trace
+        run = self._run
+        if run is None:
+            run = self._run = compiled_body(self.statements, self.max_iterations)
+        return run(env, shared)
 
-    # -- interpreter ------------------------------------------------------
 
-    def _run_block(
-        self,
-        stmts: Sequence[Statement],
-        env: Dict[str, int],
-        trace: ExecutionTrace,
-        path: List[Tuple[int, str]],
-    ) -> None:
-        for stmt in stmts:
-            self._run_statement(stmt, env, trace, path)
+# ---------------------------------------------------------------------------
+# Compiled bodies.
+# ---------------------------------------------------------------------------
 
-    def _run_statement(
-        self,
-        stmt: Statement,
-        env: Dict[str, int],
-        trace: ExecutionTrace,
-        path: List[Tuple[int, str]],
-    ) -> None:
-        trace.visited.append(stmt.node_id)
+#: Compiled transition bodies keyed by content: ``max_iterations`` and
+#: the structural signature of every statement, the value identity the
+#: codegen and synthesis caches also rely on.  A design-space sweep
+#: rebuilds its system for every point and reuses the functions
+#: compiled for the first.  The functions keep no state between calls,
+#: so threads share them.
+_COMPILE_CACHE: LruCache[Callable] = LruCache(capacity=512)
+
+SGRAPH_COMPILE_CACHE_STATS = _COMPILE_CACHE.stats
+
+
+def clear_sgraph_compile_cache() -> None:
+    """Drop all compiled transition bodies (tests and benchmarks)."""
+    _COMPILE_CACHE.clear()
+
+
+#: Comparisons; an ``If`` tests them without building the 0/1 value.
+_COMPARISONS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
+
+#: Operators written out as Python.  Each form evaluates both operands,
+#: left first, as ``Expression.evaluate`` does; DIV and MOD call their
+#: :mod:`repro.cfsm.expr` definitions.
+_BINOP_SOURCE = {
+    "ADD": "({0} + {1})",
+    "SUB": "({0} - {1})",
+    "MUL": "({0} * {1})",
+    "DIV": "DIV({0}, {1})",
+    "MOD": "MOD({0}, {1})",
+    "AND": "({0} & {1})",
+    "OR": "({0} | {1})",
+    "XOR": "({0} ^ {1})",
+    "SHL": "({0} << ({1} & 31))",
+    "SHR": "(({0} % 4294967296) >> ({1} & 31))",
+    **{op: "(1 if {0} %s {1} else 0)" % symbol for op, symbol in _COMPARISONS.items()},
+    "LAND": "((1 if {0} else 0) & (1 if {1} else 0))",
+    "LOR": "((1 if {0} else 0) | (1 if {1} else 0))",
+}
+
+_UNOP_SOURCE = {
+    "NEG": "(-{0})",
+    "NOT": "(0 if {0} else 1)",
+    "BNOT": "(~{0})",
+}
+
+
+def _unbound(error: KeyError, env: Dict[str, int], readers: Dict[str, Expression]) -> None:
+    """Raise what the failed read's ``evaluate`` raises.
+
+    ``readers`` maps every environment key the body reads to its
+    ``Var``/``EventValue``.  Returns when ``error`` did not come from
+    one of those reads (the caller then re-raises it unchanged).
+    """
+    if len(error.args) == 1 and isinstance(error.args[0], str):
+        read = readers.get(error.args[0])
+        if read is not None:
+            try:
+                read.evaluate(env)
+            except KeyError as unbound:
+                raise unbound from None
+
+
+class _BodyCompiler:
+    """Compiles one transition body to a Python function.
+
+    Straight-line statements become plain code; the macro-operations
+    and memory references they record are static, so each run of them
+    adds one constant tuple to the trace.  A run ends where control
+    flow begins: the tuple then holds everything up to and including
+    the test's own operand reads.
+    """
+
+    def __init__(self, max_iterations: int) -> None:
+        self.max_iterations = max_iterations
+        #: Environment key -> the ``Var``/``EventValue`` reading it.
+        self.readers: Dict[str, Expression] = {}
+        self.namespace: Dict[str, object] = {
+            "ExecutionTrace": ExecutionTrace,
+            "SGraphError": SGraphError,
+            "DIV": _BINOP_FUNCS["DIV"],
+            "MOD": _BINOP_FUNCS["MOD"],
+            "unbound": _unbound,
+            "READERS": self.readers,
+        }
+        self.lines: List[str] = []
+        self.ops: List[MacroOp] = []
+        self.refs: List[MemoryReference] = []
+        self.constants = 0
+
+    def compile(self, statements: Sequence[Statement]) -> Callable:
+        """``run(env, shared) -> ExecutionTrace`` for ``statements``."""
+        self.block(statements, "  ")
+        lines = [
+            "def run(env, shared):",
+            " ops = []",
+            " refs = []",
+            " path = []",
+            " emitted = []",
+            " updates = {}",
+            " iterations = 0",
+            " shared_reads = []",
+            " shared_writes = []",
+            " try:",
+            *(self.lines or ["  pass"]),
+            " except KeyError as error:",
+            "  unbound(error, env, READERS)",
+            "  raise",
+            " return ExecutionTrace(ops=ops, path=tuple(path), emitted=emitted,"
+            " memory_refs=refs, var_updates=updates, loop_iterations=iterations,"
+            " shared_reads=shared_reads, shared_writes=shared_writes)",
+        ]
+        exec("\n".join(lines), self.namespace)  # noqa: S102 - generated by us
+        return self.namespace["run"]  # type: ignore[return-value]
+
+    # -- trace constants ------------------------------------------------------
+
+    def flush(self, indent: str) -> None:
+        """Add the pending macro-ops and references to the trace."""
+        for pending, target in ((self.ops, "ops"), (self.refs, "refs")):
+            if pending:
+                name = "K%d" % self.constants
+                self.constants += 1
+                self.namespace[name] = tuple(pending)
+                self.lines.append("%s%s += %s" % (indent, target, name))
+                pending.clear()
+
+    def op(self, name: str, operand: str = "") -> None:
+        self.ops.append(interned_macro_op(name, operand))
+
+    def ref(self, name: str, is_write: bool) -> None:
+        self.refs.append(_memory_ref(name, is_write))
+
+    # -- code -------------------------------------------------------------------
+
+    def expr(self, expression: Expression) -> str:
+        """Source evaluating ``expression``; records its trace prelude."""
+        self.prelude(expression)
+        return self.value(expression)
+
+    def prelude(self, expression: Expression) -> None:
+        """Record the reads and operator calls of evaluating ``expression``."""
+        for name in expression.variables():
+            self.ref(name, False)
+        for event in expression.event_values():
+            self.op(MacroOpKind.ADETECT, event)
+            self.ref("@" + event, False)
+        for name in expression.macro_ops():
+            self.op(name)
+
+    def test(self, expression: Expression) -> str:
+        """Source with the truth value of ``expression``."""
+        if isinstance(expression, BinaryOp) and expression.op in _COMPARISONS:
+            return "(%s %s %s)" % (self.value(expression.left),
+                                   _COMPARISONS[expression.op],
+                                   self.value(expression.right))
+        return self.value(expression)
+
+    def value(self, expression: Expression) -> str:
+        if isinstance(expression, Const):
+            return "(%r)" % (expression.value,)
+        if isinstance(expression, Var):
+            self.readers[expression.name] = expression
+            return "env[%r]" % expression.name
+        if isinstance(expression, EventValue):
+            self.readers[expression.env_key] = expression
+            return "env[%r]" % expression.env_key
+        if isinstance(expression, BinaryOp):
+            return _BINOP_SOURCE[expression.op].format(
+                self.value(expression.left), self.value(expression.right))
+        if isinstance(expression, UnaryOp):
+            return _UNOP_SOURCE[expression.op].format(self.value(expression.operand))
+        raise SGraphError("unknown expression type %r" % type(expression).__name__)
+
+    def block(self, statements: Sequence[Statement], indent: str) -> None:
+        for stmt in statements:
+            self.statement(stmt, indent)
+        self.flush(indent)
+
+    def statement(self, stmt: Statement, indent: str) -> None:
+        emit_line = self.lines.append
+        node = "n%d" % stmt.node_id
         if isinstance(stmt, Assign):
-            value = self._eval(stmt.value, env, trace)
-            env[stmt.target] = value
-            trace.var_updates[stmt.target] = value
-            trace.memory_refs.append(_memory_ref(stmt.target, True))
-            if isinstance_const(stmt.value):
-                trace.ops.append(interned_macro_op(MacroOpKind.AIVC, stmt.target))
-            else:
-                trace.ops.append(interned_macro_op(MacroOpKind.AVV, stmt.target))
+            value = self.expr(stmt.value)
+            self.ref(stmt.target, True)
+            kind = MacroOpKind.AIVC if isinstance(stmt.value, Const) else MacroOpKind.AVV
+            self.op(kind, stmt.target)
+            emit_line("%senv[%r] = updates[%r] = %s" % (indent, stmt.target, stmt.target, value))
         elif isinstance(stmt, Emit):
-            value = 0
-            if stmt.value is not None:
-                value = self._eval(stmt.value, env, trace)
-            trace.emitted.append((stmt.event, value))
-            trace.ops.append(interned_macro_op(MacroOpKind.AEMIT, stmt.event))
+            value = "0" if stmt.value is None else self.expr(stmt.value)
+            self.op(MacroOpKind.AEMIT, stmt.event)
+            emit_line("%semitted.append((%r, %s))" % (indent, stmt.event, value))
         elif isinstance(stmt, SharedRead):
-            if self._shared is None:
-                raise SGraphError(
-                    "shared read at node %d without a shared memory" % stmt.node_id
-                )
-            address = self._eval(stmt.address, env, trace)
-            value = self._shared.read(address)
-            env[stmt.target] = value
-            trace.var_updates[stmt.target] = value
-            trace.shared_reads.append((address, value))
-            trace.memory_refs.append(_memory_ref(stmt.target, True))
-            trace.ops.append(interned_macro_op(MacroOpKind.ASHRD, stmt.target))
+            self.require_shared("read", stmt, indent)
+            address = self.expr(stmt.address)
+            self.ref(stmt.target, True)
+            self.op(MacroOpKind.ASHRD, stmt.target)
+            emit_line("%saddress = %s" % (indent, address))
+            emit_line("%senv[%r] = updates[%r] = value = shared.read(address)"
+                      % (indent, stmt.target, stmt.target))
+            emit_line("%sshared_reads.append((address, value))" % indent)
         elif isinstance(stmt, SharedWrite):
-            if self._shared is None:
-                raise SGraphError(
-                    "shared write at node %d without a shared memory" % stmt.node_id
-                )
-            address = self._eval(stmt.address, env, trace)
-            value = self._eval(stmt.value, env, trace)
-            self._shared.write(address, value)
-            trace.shared_writes.append((address, value))
-            trace.ops.append(interned_macro_op(MacroOpKind.ASHWR, "n%d" % stmt.node_id))
+            self.require_shared("write", stmt, indent)
+            address = self.expr(stmt.address)
+            value = self.expr(stmt.value)
+            self.op(MacroOpKind.ASHWR, node)
+            emit_line("%saddress = %s" % (indent, address))
+            emit_line("%svalue = %s" % (indent, value))
+            emit_line("%sshared.write(address, value)" % indent)
+            emit_line("%sshared_writes.append((address, value))" % indent)
         elif isinstance(stmt, If):
-            taken = bool(self._eval(stmt.cond, env, trace))
-            outcome = "T" if taken else "F"
-            path.append((stmt.node_id, outcome))
-            kind = MacroOpKind.TIVART if taken else MacroOpKind.TIVARF
-            trace.ops.append(interned_macro_op(kind, "n%d" % stmt.node_id))
-            self._run_block(stmt.then if taken else stmt.els, env, trace, path)
+            self.prelude(stmt.cond)
+            cond = self.test(stmt.cond)
+            self.flush(indent)
+            emit_line("%sif %s:" % (indent, cond))
+            for branch, kind, outcome in ((stmt.then, MacroOpKind.TIVART, "T"),
+                                          (stmt.els, MacroOpKind.TIVARF, "F")):
+                if outcome == "F":
+                    emit_line("%selse:" % indent)
+                emit_line("%s path.append((%d, %r))" % (indent, stmt.node_id, outcome))
+                self.op(kind, node)
+                self.block(branch, indent + " ")
         elif isinstance(stmt, Loop):
-            count = self._eval(stmt.count, env, trace)
-            count = max(0, count)
-            if count > self.max_iterations:
-                raise SGraphError(
-                    "loop at node %d requested %d iterations (max %d)"
-                    % (stmt.node_id, count, self.max_iterations)
-                )
-            for _ in range(count):
-                trace.ops.append(interned_macro_op(MacroOpKind.TLOOPT, "n%d" % stmt.node_id))
-                trace.loop_iterations += 1
-                self._run_block(stmt.body, env, trace, path)
-            trace.ops.append(interned_macro_op(MacroOpKind.TLOOPF, "n%d" % stmt.node_id))
+            count = "count%d" % stmt.node_id
+            emit_line("%s%s = max(0, %s)" % (indent, count, self.expr(stmt.count)))
+            emit_line("%sif %s > %d:" % (indent, count, self.max_iterations))
+            emit_line("%s raise SGraphError('loop at node %d requested %%d iterations"
+                      " (max %d)' %% %s)" % (indent, stmt.node_id, self.max_iterations, count))
+            emit_line("%siterations += %s" % (indent, count))
+            self.flush(indent)
+            emit_line("%sfor _ in range(%s):" % (indent, count))
+            self.op(MacroOpKind.TLOOPT, node)
+            self.block(stmt.body, indent + " ")
+            self.op(MacroOpKind.TLOOPF, node)
         else:
             raise SGraphError("unknown statement type %r" % type(stmt).__name__)
 
-    def _eval(self, expression: Expression, env: Dict[str, int], trace: ExecutionTrace) -> int:
-        # The trace side effects of evaluating an expression (memory
-        # references and macro-op records) are static properties of the
-        # expression tree; build them once per expression object and
-        # bulk-extend the trace on every subsequent evaluation.
-        prelude = expression.__dict__.get("_sg_prelude")
-        if prelude is None:
-            refs = [_memory_ref(name, False) for name in expression.variables()]
-            ops = []
-            for event in expression.event_values():
-                ops.append(interned_macro_op(MacroOpKind.ADETECT, event))
-                refs.append(_memory_ref("@" + event, False))
-            ops.extend(interned_macro_op(op_name) for op_name in expression.macro_ops())
-            prelude = (tuple(refs), tuple(ops))
-            object.__setattr__(expression, "_sg_prelude", prelude)
-        trace.memory_refs.extend(prelude[0])
-        trace.ops.extend(prelude[1])
-        return expression.evaluate(env)
+    def require_shared(self, access: str, stmt: Statement, indent: str) -> None:
+        self.lines.append("%sif shared is None: raise SGraphError(%r)" % (
+            indent, "shared %s at node %d without a shared memory" % (access, stmt.node_id)))
 
 
-def isinstance_const(expression: Expression) -> bool:
-    """Whether ``expression`` is a plain constant (AIVC vs. AVV)."""
-    from repro.cfsm.expr import Const
+def compiled_body(statements: Sequence[Statement], max_iterations: int) -> Callable:
+    """The function ``run(env, shared) -> ExecutionTrace`` of a body."""
+    from repro.cfsm.fingerprint import statement_signature  # imports this module
 
-    return isinstance(expression, Const)
+    key = (max_iterations, tuple(statement_signature(stmt) for stmt in statements))
+    run = _COMPILE_CACHE.get(key)
+    if run is None:
+        run = _BodyCompiler(max_iterations).compile(statements)
+        _COMPILE_CACHE.put(key, run)
+    return run
 
 
 # ---------------------------------------------------------------------------

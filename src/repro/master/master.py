@@ -166,6 +166,9 @@ class _Process:
         self.state = cfsm.initial_state()
         self.busy = False
         self.compiled: Optional[CompiledCfsm] = None
+        #: Data-cache address of each memory-reference name
+        #: (``"@event"`` for a mailbox), from ``compiled.memory_map``.
+        self.cache_addresses: Dict[str, int] = {}
         self.iss: Optional[Iss] = None
         self.memory: Dict[int, int] = {}
         self.hw: Optional[HardwarePowerSimulator] = None
@@ -236,6 +239,12 @@ class SimulationMaster:
             if kind == Implementation.SW:
                 if not self.config.zero_delay:
                     process.compiled = compile_cfsm_cached(cfsm, memory_base=base)
+                    memory_map = process.compiled.memory_map
+                    process.cache_addresses = dict(memory_map.variables)
+                    process.cache_addresses.update(
+                        ("@" + event, address)
+                        for event, address in memory_map.event_mailboxes.items()
+                    )
                     process.iss = Iss(
                         process.compiled.program,
                         self.config.power_model,
@@ -718,17 +727,15 @@ class SimulationMaster:
                 args={"cfsm": process.cfsm.name,
                       "references": len(trace.memory_refs)},
             )
-        memory_map = process.compiled.memory_map
+        addresses = process.cache_addresses
+        access = self.cache.access
         stall_cycles = 0
         energy = 0.0
         for reference in trace.memory_refs:
-            if reference.name.startswith("@"):
-                address = memory_map.event_mailboxes.get(reference.name[1:])
-            else:
-                address = memory_map.variables.get(reference.name)
+            address = addresses.get(reference.name)
             if address is None:
                 continue
-            outcome = self.cache.access(address, reference.is_write)
+            outcome = access(address, reference.is_write)
             stall_cycles += outcome.stall_cycles
             energy += outcome.energy_j
         if span is not None:

@@ -11,7 +11,8 @@ from repro.master.master import (
     SimulationMaster,
     _contiguous_runs,
 )
-from repro.systems import producer_consumer, workloads
+from repro.estimation import FullStrategy
+from repro.systems import producer_consumer, tcpip, workloads
 
 
 class TestContiguousRuns:
@@ -33,6 +34,31 @@ class TestContiguousRuns:
     def test_repeated_address_splits(self):
         runs = _contiguous_runs([(7, 1), (7, 2)])
         assert runs == [(7, [1]), (7, [2])]
+
+
+class TestCacheAddresses:
+    def test_references_resolve_like_the_memory_map_lookup(self):
+        """Every software memory reference resolves to the address the
+        memory map gives it: ``@event`` names through the mailboxes."""
+        bundle = tcpip.build_system(dma_block_words=8, num_packets=1)
+        config = dataclasses.replace(bundle.config, record_reactions=True)
+        master = SimulationMaster(bundle.network, FullStrategy(), config)
+        master.run(bundle.stimuli())
+        mailbox_reads = 0
+        for reaction in master.reactions:
+            process = master.processes[reaction.cfsm]
+            if process.compiled is None:
+                continue
+            memory_map = process.compiled.memory_map
+            for reference in reaction.trace.memory_refs:
+                name = reference.name
+                if name.startswith("@"):
+                    expected = memory_map.event_mailboxes.get(name[1:])
+                    mailbox_reads += expected is not None
+                else:
+                    expected = memory_map.variables.get(name)
+                assert process.cache_addresses.get(name) == expected, name
+        assert mailbox_reads > 0
 
 
 class TestSharedMemory:

@@ -1,8 +1,8 @@
 """Unit tests for the process-wide hot-path caches.
 
-Six caches accelerate repeated co-estimation: compiled-simulator,
-synthesis, codegen, ISS decode, and the exact hardware and ISS run
-memos.  Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
+Seven caches accelerate repeated co-estimation: compiled-simulator,
+synthesis, codegen, ISS decode, compiled s-graph bodies, and the exact
+hardware and ISS run memos.  Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
 mirrors it into the metrics registry.  Caching must never change a
 single reported number — warm runs replay losslessly.
 """
@@ -11,6 +11,20 @@ import dataclasses
 import sys
 import threading
 
+import pytest
+
+from repro.cfsm import sgraph
+from repro.cfsm.expr import add, const, gt, var
+from repro.cfsm.sgraph import (
+    SGRAPH_COMPILE_CACHE_STATS,
+    SGraph,
+    assign,
+    clear_sgraph_compile_cache,
+    compiled_body,
+    emit,
+    if_,
+    loop,
+)
 from repro.core import PowerCoEstimator
 from repro.core.caching import WarmStartCache
 from repro.hw import logicsim
@@ -40,6 +54,7 @@ ALL_STATS = {
     "iss_decode": DECODE_CACHE_STATS,
     "hw_run_memo": HW_RUN_MEMO_STATS,
     "iss_run_memo": ISS_RUN_MEMO_STATS,
+    "sgraph_compile": SGRAPH_COMPILE_CACHE_STATS,
 }
 
 #: Metrics-registry counters each cache maintains when telemetry is on.
@@ -58,6 +73,7 @@ def _clear_all():
     clear_decode_cache()
     clear_hw_run_memo()
     clear_iss_run_memo()
+    clear_sgraph_compile_cache()
 
 
 def _run(telemetry=None):
@@ -241,3 +257,77 @@ class TestConcurrentEviction:
             sys.setswitchinterval(interval)
         assert errors == []
         assert COMPILE_CACHE_STATS.evictions > 0
+
+
+def _bodies(network):
+    return [transition.body
+            for _, cfsm in sorted(network.cfsms.items())
+            for transition in cfsm.transitions]
+
+
+class TestSgraphCompileCache:
+    def test_separately_built_systems_share_compiled_bodies(self):
+        _clear_all()
+        first = tcpip.build_system(dma_block_words=8, num_packets=1)
+        PowerCoEstimator(first.network, first.config).estimate(
+            first.stimuli(), strategy="caching",
+            shared_memory_image=first.shared_memory_image)
+        misses = SGRAPH_COMPILE_CACHE_STATS.misses
+        assert misses > 0
+
+        second = tcpip.build_system(dma_block_words=8, num_packets=1)
+        PowerCoEstimator(second.network, second.config).estimate(
+            second.stimuli(), strategy="caching",
+            shared_memory_image=second.shared_memory_image)
+        assert SGRAPH_COMPILE_CACHE_STATS.misses == misses
+        assert SGRAPH_COMPILE_CACHE_STATS.hits >= misses
+        shared = [a._run for a, b in zip(_bodies(first.network),
+                                          _bodies(second.network))
+                  if a._run is not None and a._run is b._run]
+        assert len(shared) == misses
+
+    @pytest.mark.parametrize("make", [
+        lambda inner: [if_(gt(var("a"), const(0)), [assign("b", inner)])],
+        lambda inner: [if_(gt(var("a"), const(5)), [], [emit("X", inner)])],
+        lambda inner: [loop(const(2), [assign("b", add(var("b"), inner))])],
+    ])
+    def test_bodies_differing_inside_nested_blocks_do_not_share(self, make):
+        _clear_all()
+        one, two = SGraph(make(const(1))), SGraph(make(const(2)))
+        env = {"a": 1, "b": 0}
+        assert one.execute(dict(env)) != two.execute(dict(env))
+        assert one._run is not two._run
+        assert SGRAPH_COMPILE_CACHE_STATS.misses == 2
+
+    def test_bounded_under_concurrent_eviction(self, monkeypatch):
+        """Three threads share a two-entry cache over four bodies."""
+        _clear_all()
+        monkeypatch.setattr(sgraph._COMPILE_CACHE, "capacity", 2)
+        bodies = [[assign("a", add(var("a"), const(step)))] for step in range(4)]
+        errors = []
+
+        def compile_bodies(offset):
+            try:
+                for index in range(2000):
+                    step = (index + offset) % 4
+                    env = {"a": 0}
+                    compiled_body(bodies[step], 10)(env, None)
+                    assert env == {"a": step}
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_bodies, args=(offset,))
+                       for offset in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert SGRAPH_COMPILE_CACHE_STATS.evictions > 0
+        assert len(sgraph._COMPILE_CACHE) <= 2
