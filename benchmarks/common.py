@@ -77,13 +77,14 @@ def clear_process_caches() -> None:
     from repro.hw.logicsim import clear_compile_cache
     from repro.hw.synth import clear_synth_cache
     from repro.sw.codegen import clear_codegen_cache
-    from repro.sw.iss import clear_decode_cache
+    from repro.sw.iss import clear_decode_cache, clear_iss_run_memo
 
     clear_compile_cache()
     clear_synth_cache()
     clear_codegen_cache()
     clear_decode_cache()
     clear_hw_run_memo()
+    clear_iss_run_memo()
     clear_sgraph_compile_cache()
 
 

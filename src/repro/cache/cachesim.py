@@ -3,13 +3,15 @@
 The simulator is deliberately fast (dictionary tag stores, true-LRU via
 access counters) because, as in the paper, it is invoked for every
 memory reference the master extracts from behavioral execution — it
-must never become the bottleneck the low-level simulators are.
+must never become the bottleneck the low-level simulators are.  Hits,
+the common case, allocate nothing: every hit returns the simulator's
+one shared (frozen) hit outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 from repro.errors import ReproError
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -65,9 +67,9 @@ class CacheConfig:
         return max(1, lines // self.associativity)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CacheAccess:
-    """Outcome of one access."""
+    """Outcome of one access (immutable: hits share one instance)."""
 
     hit: bool
     writeback: bool = False
@@ -100,11 +102,16 @@ class CacheSimulator:
         else:
             self._hit_counter = None
             self._miss_counter = None
-        # ``num_sets`` is a derived property; freeze the geometry into
-        # plain ints — ``_locate`` runs once per memory reference.
-        self._num_sets = self.config.num_sets
-        self._word_bytes = self.config.word_bytes
-        self._line_bytes = self.config.line_bytes
+        # ``num_sets`` is a derived property; freeze the geometry and
+        # costs into plain attributes — ``access`` reads them once per
+        # memory reference.
+        config = self.config
+        self._num_sets = config.num_sets
+        self._word_bytes = config.word_bytes
+        self._line_bytes = config.line_bytes
+        self._hit_energy = config.hit_energy_j
+        self._dirty_on_write = config.write_back
+        self._hit = CacheAccess(hit=True, energy_j=config.hit_energy_j)
         self._sets: List[Dict[int, _Line]] = [
             {} for _ in range(self._num_sets)
         ]
@@ -117,20 +124,15 @@ class CacheSimulator:
         self.total_energy = 0.0
         self.total_stall_cycles = 0
 
-    # -- helpers ------------------------------------------------------------
-
-    def _locate(self, word_address: int) -> Tuple[int, int]:
-        line_number = (word_address * self._word_bytes) // self._line_bytes
-        return line_number % self._num_sets, line_number // self._num_sets
-
     # -- public API ------------------------------------------------------------
 
     def access(self, word_address: int, is_write: bool) -> CacheAccess:
         """Look up one word; updates statistics and LRU state."""
         self._tick += 1
-        set_index, tag = self._locate(word_address)
-        lines = self._sets[set_index]
-        config = self.config
+        line_number = (word_address * self._word_bytes) // self._line_bytes
+        num_sets = self._num_sets
+        lines = self._sets[line_number % num_sets]
+        tag = line_number // num_sets
         if is_write:
             self.writes += 1
         else:
@@ -139,15 +141,16 @@ class CacheSimulator:
         line = lines.get(tag)
         if line is not None:
             line.last_used = self._tick
-            if is_write and config.write_back:
+            if is_write and self._dirty_on_write:
                 line.dirty = True
-            outcome = CacheAccess(hit=True, energy_j=config.hit_energy_j)
-            self._account(outcome)
+            # Hits stall for zero cycles: only the energy accumulates.
+            self.total_energy += self._hit_energy
             if self._hit_counter is not None:
                 self._hit_counter.inc()
-            return outcome
+            return self._hit
 
         # Miss: fill, possibly evicting the LRU way.
+        config = self.config
         if is_write:
             self.write_misses += 1
         else:
@@ -168,14 +171,11 @@ class CacheSimulator:
             energy_j=config.hit_energy_j + config.miss_energy_j,
             stall_cycles=config.miss_penalty_cycles,
         )
-        self._account(outcome)
+        self.total_energy += outcome.energy_j
+        self.total_stall_cycles += outcome.stall_cycles
         if self._miss_counter is not None:
             self._miss_counter.inc()
         return outcome
-
-    def _account(self, outcome: CacheAccess) -> None:
-        self.total_energy += outcome.energy_j
-        self.total_stall_cycles += outcome.stall_cycles
 
     @property
     def accesses(self) -> int:

@@ -4,6 +4,9 @@ Nets are integer ids; net 0 is constant 0 and net 1 is constant 1.
 Gates are appended in dependency order by the builder, so the gate list
 is already a valid combinational evaluation order (this is what lets
 :mod:`repro.hw.logicsim` compile the netlist to straight-line code).
+:meth:`NetlistBuilder.build` freezes the result: the gate and flip-flop
+lists become tuples and the netlist takes its content key
+(:class:`NetlistKey`) once, so simulators never re-check or re-hash it.
 
 The builder provides single-bit gate helpers with light constant
 folding, plus the W-bit bus operators (ripple-carry adder/subtractor,
@@ -60,17 +63,67 @@ class Dff:
     init: int = 0
 
 
+class NetlistKey:
+    """Content identity of a netlist's compiled kernels, hashed once.
+
+    The kernels depend on the gates and on each flip-flop's D/Q nets,
+    not on flip-flop init values, so netlists differing only in those
+    share a key.  A netlist that finds an equal key already stored
+    adopts that object as its ``content_key``, so later lookups match
+    by identity instead of comparing gate by gate.
+    """
+
+    __slots__ = ("gates", "wiring", "_hash")
+
+    def __init__(
+        self, gates: Tuple[Gate, ...], wiring: Tuple[Tuple[int, int], ...]
+    ) -> None:
+        self.gates = gates
+        self.wiring = wiring
+        self._hash = hash((gates, wiring))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, NetlistKey):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.wiring == other.wiring
+            and self.gates == other.gates
+        )
+
+
 @dataclass
 class Netlist:
-    """A synthesized block: gates, flip-flops, and port maps."""
+    """A synthesized block: gates, flip-flops, and port maps.
+
+    :meth:`freeze` (run by :meth:`NetlistBuilder.build`, or by the first
+    simulator on a hand-built netlist) checks the netlist and makes
+    ``gates`` and ``dffs`` tuples; it cannot change after that.
+    """
 
     name: str
     num_nets: int = 2  # const0 and const1
-    gates: List[Gate] = field(default_factory=list)
-    dffs: List[Dff] = field(default_factory=list)
+    gates: Sequence[Gate] = field(default_factory=list)
+    dffs: Sequence[Dff] = field(default_factory=list)
     input_ports: Dict[str, List[int]] = field(default_factory=dict)
     output_ports: Dict[str, List[int]] = field(default_factory=dict)
     net_names: Dict[int, str] = field(default_factory=dict)
+    #: Content key, taken by :meth:`freeze`.
+    content_key: Optional[NetlistKey] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Every net's value after reset and settling (flip-flops at their
+    #: init values), recorded by the first simulator that resets.
+    #: Unlike ``content_key`` it depends on the init values, so it lives
+    #: here and not in the compile cache.
+    reset_values: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def gate_count(self) -> int:
@@ -82,6 +135,18 @@ class Netlist:
         """Number of flip-flops."""
         return len(self.dffs)
 
+    def freeze(self) -> NetlistKey:
+        """Check once, make ``gates``/``dffs`` tuples; returns the key."""
+        key = self.content_key
+        if key is None:
+            self.check()
+            self.gates = tuple(self.gates)
+            self.dffs = tuple(self.dffs)
+            key = self.content_key = NetlistKey(
+                self.gates, tuple((dff.d, dff.q) for dff in self.dffs)
+            )
+        return key
+
     def check(self) -> None:
         """Verify structural sanity (one driver per net) and evaluation order.
 
@@ -89,24 +154,32 @@ class Netlist:
         ``component`` names this netlist, ``net`` the offending net id.
         """
         # Every net has one driver: the compiled simulator keeps a driven
-        # net's value in its driver's kernel.
+        # net's value in its driver's kernel.  Every driven net is an
+        # index into the simulator's net-value list, and only driven nets
+        # may be read, so checking the drivers' range covers every net.
         defined = {CONST0, CONST1}
+        num_nets = self.num_nets
 
-        def second_driver(net: int, kind: str, name: object) -> NetlistError:
-            return NetlistError(
-                "%s %r drives net %d, which already has a driver" % (kind, name, net),
-                component=self.name, net=net,
-            )
+        def drive(net: int, kind: str, name: object) -> None:
+            if net in defined:
+                raise NetlistError(
+                    "%s %r drives net %d, which already has a driver"
+                    % (kind, name, net),
+                    component=self.name, net=net,
+                )
+            if not 0 <= net < num_nets:
+                raise NetlistError(
+                    "%s %r drives net %d, outside [0, %d)"
+                    % (kind, name, net, num_nets),
+                    component=self.name, net=net,
+                )
+            defined.add(net)
 
         for name, nets in self.input_ports.items():
             for net in nets:
-                if net in defined:
-                    raise second_driver(net, "input port", name)
-                defined.add(net)
+                drive(net, "input port", name)
         for index, dff in enumerate(self.dffs):
-            if dff.q in defined:
-                raise second_driver(dff.q, "flip-flop", index)
-            defined.add(dff.q)
+            drive(dff.q, "flip-flop", index)
         for gate in self.gates:
             for net in gate.inputs:
                 if net not in defined:
@@ -115,9 +188,7 @@ class Netlist:
                         % (gate.cell, net),
                         component=self.name, net=net,
                     )
-            if gate.output in defined:
-                raise second_driver(gate.output, "gate", gate.cell)
-            defined.add(gate.output)
+            drive(gate.output, "gate", gate.cell)
         for dff in self.dffs:
             if dff.d not in defined:
                 raise NetlistError(
@@ -399,6 +470,6 @@ class NetlistBuilder:
         return q_nets
 
     def build(self) -> Netlist:
-        """Check and return the netlist."""
-        self.netlist.check()
+        """Check, freeze and return the netlist."""
+        self.netlist.freeze()
         return self.netlist

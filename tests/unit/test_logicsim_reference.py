@@ -21,8 +21,8 @@ from repro.hw import logicsim
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
 from repro.hw.logicsim import CompiledSimulator
 from repro.hw.netlist import CONST1, Dff, Gate, Netlist
-from repro.hw.synth import synthesize_cfsm_cached
-from repro.systems import build_bundle
+from repro.hw.synth import clear_synth_cache, synthesize_cfsm_cached
+from repro.systems import build_bundle, tcpip
 
 from tests.generators import EVENT_IN, EVENT_OUT, VAR_NAMES, hw_bodies
 
@@ -246,6 +246,84 @@ class TestSharedCompileCache:
             self.wired([Dff(3, 4), Dff(4, 5)]),
             self.wired([]),
         ])
+
+
+def seeded_energies(sim, ref, seed, cycles=60):
+    """Step both under one seeded input sequence; assert equal energies."""
+    rng = random.Random(seed)
+    for cycle in range(cycles):
+        assert_same_step(sim, ref, random_inputs(sim.netlist, rng),
+                         "%s cycle %d" % (sim.netlist.name, cycle))
+
+
+class TestSettledResetState:
+    """Warm simulators copy the netlist's settled reset state.
+
+    The first simulator on a netlist settles it once; later ones (on the
+    same netlist, or on one with equal gates but other flip-flop inits
+    that shares its compiled kernels) must start from exactly the state
+    the reference interpreter settles to.
+    """
+
+    def test_second_simulator_on_the_same_netlist(self):
+        netlist = bundled_netlist("tcpip", "checksum")
+        CompiledSimulator(netlist).step()
+        warm = CompiledSimulator(netlist)
+        ref = ReferenceSimulator(netlist)
+        assert warm.values == ref.values
+        seeded_energies(warm, ref, seed=3)
+        warm.reset()
+        ref.reset()
+        assert warm.values == ref.values
+        seeded_energies(warm, ref, seed=4)
+
+    def test_equal_gates_different_inits(self):
+        clear_synth_cache()
+        logicsim.clear_compile_cache()
+        small, large = (
+            synthesize_cfsm_cached(
+                tcpip.build_system(dma_block_words=dma).network.cfsms["checksum"]
+            ).netlist
+            for dma in (2, 128)
+        )
+        assert small.gates == large.gates
+        assert [d.init for d in small.dffs] != [d.init for d in large.dffs]
+        cold = CompiledSimulator(small)
+        warm = CompiledSimulator(large)
+        assert logicsim.COMPILE_CACHE_STATS.snapshot()["hits"] == 1
+        assert warm.netlist_token == cold.netlist_token
+        # The hit adopted the stored key object.
+        assert large.content_key is small.content_key
+        for sim, netlist in ((cold, small), (warm, large)):
+            ref = ReferenceSimulator(netlist)
+            assert sim.values == ref.values
+            seeded_energies(sim, ref, seed=5)
+            sim.reset()
+            ref.reset()
+            assert sim.values == ref.values
+            seeded_energies(sim, ref, seed=6)
+
+    def test_warm_simulators_do_not_alias_values(self):
+        netlist = bundled_netlist("fig1", "consumer")
+        first, second = CompiledSimulator(netlist), CompiledSimulator(netlist)
+        assert first.values is not second.values
+        before = list(second.values)
+        rng = random.Random(8)
+        for _ in range(10):
+            first.step(random_inputs(netlist, rng))
+        assert first.values != before
+        assert second.values == before
+        assert list(netlist.reset_values) == before
+
+    def test_libraries_get_their_own_kernels(self):
+        netlist = bundled_netlist("fig1", "consumer")
+        sims = {}
+        for vdd in (3.3, 1.65):
+            library = GateLibrary(vdd=vdd)
+            sims[vdd] = CompiledSimulator(netlist, library)
+            seeded_energies(sims[vdd], ReferenceSimulator(netlist, library), seed=9)
+        assert sims[3.3]._kernels is not sims[1.65]._kernels
+        assert sims[3.3].netlist_token != sims[1.65].netlist_token
 
 
 class TestGeneratedNetlists:

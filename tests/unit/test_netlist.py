@@ -3,7 +3,8 @@
 import pytest
 
 from repro.hw.library import Cell, GateLibrary
-from repro.hw.netlist import CONST0, CONST1, Gate, NetlistBuilder, NetlistError
+from repro.hw.logicsim import CompiledSimulator
+from repro.hw.netlist import CONST0, CONST1, Dff, Gate, Netlist, NetlistBuilder, NetlistError
 
 
 class TestGateLibrary:
@@ -110,6 +111,37 @@ class TestStructuralChecks:
         with pytest.raises(NetlistError) as excinfo:
             builder.build()
         assert excinfo.value.net == target
+
+    @pytest.mark.parametrize("gates,inputs,dffs,net", [
+        ([Gate("INV", (2,), 5)], [2], [], 5),
+        ([], [2, 3], [], 3),
+        ([], [2], [Dff(d=2, q=7)], 7),
+        ([Gate("INV", (2,), -1)], [2], [], -1),
+    ], ids=["gate", "input", "dff", "negative"])
+    def test_check_rejects_nets_outside_the_net_range(self, gates, inputs, dffs, net):
+        netlist = Netlist(
+            name="bad", num_nets=3, gates=gates, dffs=dffs,
+            input_ports={"a": inputs}, output_ports={"y": [net]},
+        )
+        with pytest.raises(NetlistError) as excinfo:
+            netlist.check()
+        assert excinfo.value.net == net
+        assert excinfo.value.context == {"component": "bad", "net": net}
+        # The simulator's first use checks it too, instead of failing
+        # with a bare IndexError.
+        with pytest.raises(NetlistError):
+            CompiledSimulator(netlist)
+
+    def test_built_netlist_is_frozen(self):
+        builder = NetlistBuilder("t")
+        a, b = builder.input_bus("ab", 2)
+        builder.dff(builder.and_(a, b))
+        netlist = builder.build()
+        with pytest.raises(AttributeError):
+            netlist.gates.append(Gate("INV", (a,), builder.new_net()))
+        with pytest.raises(AttributeError):
+            netlist.dffs.append(Dff(d=a, q=builder.new_net()))
+        assert netlist.freeze() is netlist.content_key
 
     def test_stats(self):
         builder = NetlistBuilder("t")

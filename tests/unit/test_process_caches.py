@@ -25,6 +25,7 @@ from repro.cfsm.sgraph import (
     if_,
     loop,
 )
+from repro.cfsm.model import Implementation
 from repro.core import PowerCoEstimator
 from repro.core.caching import WarmStartCache
 from repro.hw import logicsim
@@ -35,8 +36,9 @@ from repro.hw.estimator import (
     clear_hw_run_memo,
 )
 from repro.hw.logicsim import COMPILE_CACHE_STATS, CompiledSimulator, clear_compile_cache
-from repro.hw.netlist import NetlistBuilder
+from repro.hw.netlist import Gate, Netlist, NetlistBuilder
 from repro.hw.synth import SYNTH_CACHE_STATS, clear_synth_cache
+from repro.master import MasterConfig, SimulationMaster
 from repro.sw.codegen import CODEGEN_CACHE_STATS, clear_codegen_cache
 from repro.sw.iss import (
     DECODE_CACHE_STATS,
@@ -213,6 +215,43 @@ class TestRunMemoExactness:
         # Net values are single bits: the memo keeps them as bytes.
         (entry,) = _HW_RUN_MEMO._entries.values()
         assert isinstance(entry[1], bytes)
+
+
+class TestNetlistKeyedOnce:
+    def test_second_master_rehashes_and_rechecks_nothing(self, monkeypatch):
+        """A rebuilt design point reuses the netlist's key and checks.
+
+        Synthesis hits return the same netlist, whose compile-cache hit
+        matches its content key by identity: no gate is hashed or
+        compared and no netlist is checked again.
+        """
+        _clear_all()
+
+        def network():
+            return tcpip.build_system(dma_block_words=8, num_packets=1).network
+
+        first = network()
+        hw_blocks = sum(
+            mapping == Implementation.HW for mapping in first.mapping.values()
+        )
+        assert hw_blocks >= 1
+        SimulationMaster(first, config=MasterConfig())
+
+        calls = {"hash": 0, "eq": 0, "check": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Gate, "__hash__", counting("hash", Gate.__hash__))
+        monkeypatch.setattr(Gate, "__eq__", counting("eq", Gate.__eq__))
+        monkeypatch.setattr(Netlist, "check", counting("check", Netlist.check))
+        hits = COMPILE_CACHE_STATS.hits
+        SimulationMaster(network(), config=MasterConfig())
+        assert calls == {"hash": 0, "eq": 0, "check": 0}
+        assert COMPILE_CACHE_STATS.hits == hits + hw_blocks
 
 
 def _one_gate_netlist(cell):
