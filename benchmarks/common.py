@@ -26,10 +26,6 @@ from repro.telemetry import Telemetry
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Repository root — standardized ``BENCH_*.json`` perf snapshots land
-#: here so CI can glob them as artifacts.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 #: The DMA sizes of Tables 1 and 2.
 TABLE_DMA_SIZES = (2, 4, 8, 16, 32, 64)
 
@@ -54,23 +50,12 @@ def emit(capsys, text: str) -> None:
         print(text)
 
 
-def write_bench(name: str, payload: Dict) -> str:
-    """Persist a standardized perf snapshot as ``BENCH_<name>.json``.
-
-    The payload should carry at least ``wall_seconds`` numbers plus
-    whatever rates/speedups the experiment measured; the file lands in
-    the repository root where CI uploads ``BENCH_*.json`` artifacts.
-    """
-    path = os.path.join(REPO_ROOT, "BENCH_%s.json" % name)
-    return atomic_write_json(path, payload)
-
-
 def clear_process_caches() -> None:
     """Reset every process-wide co-estimation cache (and its stats).
 
     Running this before each design point emulates the pre-caching
-    sequential code path — the baseline the ``BENCH_explorer.json``
-    speedups are measured against.
+    sequential code path, whose energies the cached and parallel
+    sweeps must reproduce exactly.
     """
     from repro.cfsm.sgraph import clear_sgraph_compile_cache
     from repro.hw.estimator import clear_hw_run_memo

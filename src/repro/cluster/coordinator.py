@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability, labeled
-from repro.obs.context import RequestContext, use_context
+from repro.obs.context import use_context
 from repro.obs.logging import JsonLogger, NULL_LOGGER
 from repro.obs.names import (
     EVENT_COALESCED,
@@ -118,30 +118,25 @@ from repro.cluster.protocol import (
 )
 from repro.core.explorer import (
     design_point_from_payload,
-    priority_label,
+    open_sweep_checkpoint,
     priority_permutations,
+    sweep_jobs,
     sweep_summary_rows,
 )
-from repro.parallel.jobs import JobSpec, job_seed, spec_to_wire
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    CheckpointWriter,
-    load_checkpoint,
-    resilience_signature,
-    sweep_signature,
-)
+from repro.parallel.jobs import spec_to_wire
+from repro.resilience.checkpoint import CheckpointError
 from repro.resilience.supervisor import retry_backoff_s
-from repro.service.api import (
-    BadRequest,
-    EstimateRequest,
-    parse_request,
-    request_fingerprint,
-)
+from repro.service.api import BadRequest, EstimateRequest
 from repro.service.dedup import InflightTable
 from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
-from repro.service.lifecycle import DrainController, install_drain_signals
-from repro.service.server import PendingResult
-from repro.systems import build_bundle, system_names
+from repro.service.lifecycle import DrainController, serve_until_drained
+from repro.service.server import (
+    PendingResult,
+    ServiceRejected,
+    _Entry,
+    answer_estimate,
+)
+from repro.systems import build_bundle, tcpip
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -245,16 +240,17 @@ class _SweepPlan:
     checkpoint_path: Optional[str]
     resume: bool
 
-
-@dataclass
-class _EstimateEntry:
-    """One estimate riding through coalescing and dispatch."""
-
-    request: EstimateRequest
-    fingerprint: str
-    pending: PendingResult
-    submitted_at: float
-    context: Optional[RequestContext] = None
+    def identity(self) -> Dict[str, Any]:
+        """What makes two sweeps the same sweep (``resume`` excluded on
+        purpose: resuming an interrupted sweep is the *same* sweep)."""
+        return {
+            "dma": list(self.dma_sizes),
+            "packets": self.num_packets,
+            "period_ns": self.packet_period_ns,
+            "strategy": self.strategy,
+            "warm_start": self.warm_start,
+            "checkpoint": self.checkpoint_path,
+        }
 
 
 class ClusterCoordinator:
@@ -813,21 +809,14 @@ class ClusterCoordinator:
         the duplicates on the same worker too.
         """
         if self.drain_controller.draining:
-            raise _Rejected("coordinator is draining", 503, "draining")
+            raise ServiceRejected("coordinator is draining", 503,
+                                  "draining")
         if self.ha_enabled and not self.is_leader:
-            raise _Rejected("this coordinator is %s, not the leader"
-                            % self._role, 503, REASON_NOT_LEADER)
-        bundle = build_bundle(request.system)
-        fingerprint = request_fingerprint(bundle, request)
-        context = RequestContext.new(request.request_id)
-        entry = _EstimateEntry(
-            request=request,
-            fingerprint=fingerprint,
-            pending=PendingResult(),
-            submitted_at=self.clock(),
-            context=context,
-        )
-        entry.pending.trace_id = context.trace_id
+            raise ServiceRejected("this coordinator is %s, not the leader"
+                                  % self._role, 503, REASON_NOT_LEADER)
+        entry = _Entry.new(request, build_bundle(request.system),
+                           self.clock())
+        fingerprint, context = entry.fingerprint, entry.context
         primary = self.dedup.admit(fingerprint, entry)
         if primary is not entry:
             with self._lock:
@@ -848,7 +837,7 @@ class ClusterCoordinator:
             self.dedup.complete(fingerprint)
         return entry.pending, False
 
-    def _dispatch_estimate(self, entry: _EstimateEntry) -> None:
+    def _dispatch_estimate(self, entry: _Entry) -> None:
         request = entry.request
         wire = {
             "kind": JOB_KIND_ESTIMATE,
@@ -860,17 +849,17 @@ class ClusterCoordinator:
         }
         timeout_s = request.deadline_s + 5.0
         redispatches = 0
+
+        def reject(reason: str, **extra: Any) -> None:
+            self._resolve(entry, 503, dict(
+                status="rejected", reason=reason,
+                request_id=request.request_id, **extra))
+
         while True:
-            target = None
-            for candidate in self._ring_preference(entry.fingerprint):
-                target = candidate
-                break
+            target = next(iter(self._ring_preference(entry.fingerprint)),
+                          None)
             if target is None:
-                self._resolve(entry, 503, {
-                    "status": "rejected",
-                    "reason": "no_workers",
-                    "request_id": request.request_id,
-                })
+                reject("no_workers")
                 return
             url = self.membership.url_of(target)
             if url is None:
@@ -909,12 +898,7 @@ class ClusterCoordinator:
                 # the client to the peer list instead of a stale answer.
                 self._fence(int(body.get("epoch") or 0),
                             "estimate dispatch fenced by %s" % target)
-                self._resolve(entry, 503, {
-                    "status": "rejected",
-                    "reason": REASON_NOT_LEADER,
-                    "request_id": request.request_id,
-                    "leader_url": self.leader_url_hint(),
-                })
+                reject(REASON_NOT_LEADER, leader_url=self.leader_url_hint())
                 return
             if status == 503 and body.get("reason") == "draining":
                 # The worker is decommissioning; its shard belongs to
@@ -925,11 +909,7 @@ class ClusterCoordinator:
                 self.obs.event(EVENT_SHARD_HANDOFF, worker=target,
                                job=request.request_id, kind="estimate")
                 if redispatches > self.config.redispatch_budget:
-                    self._resolve(entry, 503, {
-                        "status": "rejected",
-                        "reason": "no_workers",
-                        "request_id": request.request_id,
-                    })
+                    reject("no_workers")
                     return
                 continue
             # The job ran — success or worker-side error, the answer
@@ -949,13 +929,13 @@ class ClusterCoordinator:
             self._resolve(entry, status, out)
             return
 
-    def _resolve(self, entry: _EstimateEntry, status: int,
+    def _resolve(self, entry: _Entry, status: int,
                  body: Dict[str, Any]) -> None:
         headers = {}
         if entry.context is not None:
             headers["X-Trace-Id"] = entry.context.trace_id
         entry.pending.resolve(status, body, headers)
-        self.obs.record_outcome(status, self.clock() - entry.submitted_at)
+        self.obs.record_outcome(status, self.clock() - entry.admitted_at)
 
     def _note_redispatch(self, worker_id: str, job: str,
                          detail: str) -> None:
@@ -971,13 +951,13 @@ class ClusterCoordinator:
     def run_sweep(self, params: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         """Run one fig.7 sweep sharded over the live workers.
 
-        Jobs are enumerated exactly like
-        :func:`~repro.core.explorer.parallel_sweep` (same labels, same
-        deterministic seeds) and the checkpoint uses the same sweep
-        signature, so a cluster checkpoint resumes on a single node —
-        and vice versa — and the summary rows are byte-identical to
-        ``repro explore --out`` regardless of worker deaths, re-dispatch
-        order, or handoffs along the way.
+        The jobs, their order and the checkpoint are built by the same
+        code as :func:`~repro.core.explorer.parallel_sweep`
+        (:func:`~repro.core.explorer.sweep_jobs`), so a cluster
+        checkpoint resumes on a single node — and vice versa — and the
+        summary rows are byte-identical to ``repro explore --out``
+        regardless of worker deaths, re-dispatch order, or handoffs
+        along the way.
         """
         try:
             plan = self._parse_sweep(params)
@@ -993,14 +973,7 @@ class ClusterCoordinator:
         # exactly what tells the successor to re-dispatch it.
         self._journal_append(KIND_SWEEP_STARTED, {
             "sweep_id": sweep_id,
-            "params": {
-                "dma": list(plan.dma_sizes),
-                "packets": plan.num_packets,
-                "period_ns": plan.packet_period_ns,
-                "strategy": plan.strategy,
-                "warm_start": plan.warm_start,
-                "checkpoint": plan.checkpoint_path,
-            },
+            "params": plan.identity(),
         })
         try:
             status, body = self._run_sweep(plan)
@@ -1020,84 +993,37 @@ class ClusterCoordinator:
 
     @staticmethod
     def _sweep_id(plan: _SweepPlan) -> str:
-        """Stable identity of one sweep (``resume`` excluded on purpose:
-        resuming an interrupted sweep is the *same* sweep)."""
-        identity = {
-            "dma": list(plan.dma_sizes),
-            "packets": plan.num_packets,
-            "period_ns": plan.packet_period_ns,
-            "strategy": plan.strategy,
-            "warm_start": plan.warm_start,
-            "checkpoint": plan.checkpoint_path,
-        }
-        canonical = json.dumps(identity, sort_keys=True)
+        canonical = json.dumps(plan.identity(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def _run_sweep(self, plan: _SweepPlan) -> Tuple[int, Dict[str, Any]]:
         with self._lock:
             self._sweeps += 1
-        assignments = self._sweep_assignments()
-        specs: List[JobSpec] = []
-        sweep_order: List[Tuple[int, int]] = []
-        warm_key = "%s/%s" % (_SWEEP_BUILDER, plan.strategy)
-        builder_kwargs = {
-            "num_packets": plan.num_packets,
-            "packet_period_ns": plan.packet_period_ns,
-        }
-        for dma_index, dma in enumerate(plan.dma_sizes):
-            for prio_index, priorities in enumerate(assignments):
-                label = "dma=%d,%s" % (dma, priority_label(priorities))
-                specs.append(JobSpec(
-                    fn="repro.parallel.runners:run_explorer_point",
-                    payload={
-                        "builder": _SWEEP_BUILDER,
-                        "strategy": plan.strategy,
-                        "builder_kwargs": dict(builder_kwargs),
-                        "warm_start": plan.warm_start,
-                        "warm_key": warm_key,
-                        "dma_block_words": dma,
-                        "priorities": dict(priorities),
-                    },
-                    label=label,
-                    seed=job_seed(0, label),
-                ))
-                sweep_order.append((prio_index, dma_index))
-        signature = sweep_signature(
-            builder=_SWEEP_BUILDER,
-            strategy=plan.strategy,
-            builder_kwargs=dict(builder_kwargs),
-            warm_start=plan.warm_start,
-            root_seed=0,
-            resilience=resilience_signature(),
+        jobs = sweep_jobs(
+            _SWEEP_BUILDER, plan.dma_sizes,
+            priority_permutations(list(tcpip.BUS_MASTERS)),
+            strategy=plan.strategy, warm_start=plan.warm_start,
+            builder_kwargs={
+                "num_packets": plan.num_packets,
+                "packet_period_ns": plan.packet_period_ns,
+            },
         )
-        completed_payloads: Dict[str, Any] = {}
-        if plan.resume and plan.checkpoint_path is not None:
-            try:
-                completed_payloads = load_checkpoint(
-                    plan.checkpoint_path, signature
-                )
-            except CheckpointError as exc:
-                return 409, {"status": "error",
-                             "reason": "checkpoint_mismatch",
-                             "detail": str(exc)}
-        writer = (
-            CheckpointWriter(plan.checkpoint_path, signature,
-                             completed=completed_payloads)
-            if plan.checkpoint_path is not None else None
-        )
-        results: Dict[int, Dict[str, Any]] = {}
+        specs = jobs.specs
+        try:
+            record, results = open_sweep_checkpoint(
+                jobs, plan.checkpoint_path,
+                plan.checkpoint_path if plan.resume else None,
+            )
+        except CheckpointError as exc:
+            return 409, {"status": "error",
+                         "reason": "checkpoint_mismatch",
+                         "detail": str(exc)}
         errors: Dict[int, str] = {}
-        for index, spec in enumerate(specs):
-            payload = completed_payloads.get(spec.label)
-            if payload is not None:
-                results[index] = payload
         restored = len(results)
         pending: List[int] = [i for i in range(len(specs))
                               if i not in results]
         lock = threading.Lock()
         workers_used: Dict[str, int] = {}
-        if writer is not None:
-            writer.flush()
 
         def run_for(worker_id: str) -> None:
             url = self.membership.url_of(worker_id)
@@ -1186,11 +1112,7 @@ class ClusterCoordinator:
                     workers_used[worker_id] = (
                         workers_used.get(worker_id, 0) + 1
                     )
-                    if writer is not None:
-                        writer.record_and_flush(
-                            spec.label, payload,
-                            meta={"total_points": len(specs)},
-                        )
+                    record(spec.label, payload)
                 with self._lock:
                     self._sweep_points += 1
                 self.obs.event(
@@ -1234,11 +1156,8 @@ class ClusterCoordinator:
             )
             return status, reply
 
-        ordered = sorted(range(len(specs)), key=lambda i: sweep_order[i])
-        points = [
-            design_point_from_payload(results[index])
-            for index in ordered if index in results
-        ]
+        points = [design_point_from_payload(payload)
+                  for payload in jobs.in_sweep_order(results)]
         complete = len(results) == len(specs) and not errors
         body: Dict[str, Any] = {
             "status": "ok" if complete else "partial",
@@ -1260,12 +1179,6 @@ class ClusterCoordinator:
                 for index, message in sorted(errors.items())
             }
         return 200, body
-
-    @staticmethod
-    def _sweep_assignments() -> List[Dict[str, int]]:
-        from repro.systems import tcpip
-
-        return priority_permutations(list(tcpip.BUS_MASTERS))
 
     @staticmethod
     def _parse_sweep(params: Dict[str, Any]) -> _SweepPlan:
@@ -1446,23 +1359,12 @@ class ClusterCoordinator:
         return self.obs.render_metrics()
 
 
-class _Rejected(Exception):
-    """Internal: a submission was refused before dispatch."""
-
-    def __init__(self, message: str, status: int, reason: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-
-
 # ----------------------------------------------------------------------
 # HTTP layer
 # ----------------------------------------------------------------------
 
 
 class _CoordinatorHandler(JsonRequestHandler):
-    WAIT_GRACE_S = 5.0
-
     KNOWN_PATHS = (
         "/estimate", "/sweep", "/healthz", "/readyz", "/stats", "/metrics",
         "/cluster/register", "/cluster/heartbeat", "/cluster/cache",
@@ -1484,41 +1386,28 @@ class _CoordinatorHandler(JsonRequestHandler):
                 "draining": self.coordinator.drain_controller.draining,
             })
         elif self.path == "/readyz":
-            status, body = self.coordinator.readyz_snapshot()
-            self.respond_json(status, body)
+            self.respond_json(*self.coordinator.readyz_snapshot())
         elif self.path == "/stats":
             self.respond_json(200, self.coordinator.stats_snapshot())
         elif self.path == "/metrics":
             self.respond_text(200, self.coordinator.metrics_exposition())
         elif self.path.startswith("/cluster/journal"):
-            since = 0
-            if "?" in self.path:
-                from urllib.parse import parse_qs, urlsplit
-
-                query = parse_qs(urlsplit(self.path).query)
-                try:
-                    since = int((query.get("since") or ["0"])[0])
-                except ValueError:
-                    self.respond_json(400, {
-                        "status": "error",
-                        "reason": "'since' must be an integer",
-                    })
-                    return
-            status, body = self.coordinator.journal_entries_since(since)
-            self.respond_json(status, body)
+            try:
+                since = int(self.query_param("since", "0"))
+            except ValueError:
+                self.respond_json(400, {
+                    "status": "error",
+                    "reason": "'since' must be an integer",
+                })
+                return
+            self.respond_json(*self.coordinator.journal_entries_since(since))
         elif self.path.startswith("/cluster/cache"):
-            key = ""
-            if "?" in self.path:
-                from urllib.parse import parse_qs, urlsplit
-
-                query = parse_qs(urlsplit(self.path).query)
-                key = (query.get("key") or [""])[0]
+            key = self.query_param("key")
             if not key:
                 self.respond_json(400, {"status": "error",
                                         "reason": "'key' is required"})
                 return
-            status, body = self.coordinator.cache_get(key)
-            self.respond_json(status, body)
+            self.respond_json(*self.coordinator.cache_get(key))
         else:
             self.respond_json(404, {"status": "error",
                                     "reason": "unknown path %s" % self.path})
@@ -1528,63 +1417,26 @@ class _CoordinatorHandler(JsonRequestHandler):
         if body is None:
             return
         if self.path == "/estimate":
-            self._post_estimate(body)
+            answer_estimate(self, self.coordinator.submit,
+                            self.coordinator.config.default_deadline_s, body)
         elif self.path == "/sweep":
-            status, reply = self.coordinator.run_sweep(body)
-            self.respond_json(status, reply)
+            self.respond_json(*self.coordinator.run_sweep(body))
         elif self.path == "/cluster/register":
-            status, reply = self.coordinator.register_worker(
+            self.respond_json(*self.coordinator.register_worker(
                 str(body.get("worker_id") or ""), str(body.get("url") or "")
-            )
-            self.respond_json(status, reply)
+            ))
         elif self.path == "/cluster/heartbeat":
-            status, reply = self.coordinator.heartbeat(body)
-            self.respond_json(status, reply)
+            self.respond_json(*self.coordinator.heartbeat(body))
         elif self.path == "/cluster/cache":
-            status, reply = self.coordinator.cache_put(body)
-            self.respond_json(status, reply)
+            self.respond_json(*self.coordinator.cache_put(body))
         elif self.path == "/cluster/decommission":
-            status, reply = self.coordinator.decommission_worker(
+            self.respond_json(*self.coordinator.decommission_worker(
                 str(body.get("worker") or ""),
                 str(body.get("reason", "requested")),
-            )
-            self.respond_json(status, reply)
+            ))
         else:
             self.respond_json(404, {"status": "error",
                                     "reason": "unknown path %s" % self.path})
-
-    def _post_estimate(self, body: Dict[str, Any]) -> None:
-        try:
-            request = parse_request(
-                body,
-                known_systems=system_names(),
-                default_deadline_s=(
-                    self.coordinator.config.default_deadline_s
-                ),
-            )
-        except BadRequest as exc:
-            self.respond_json(400, {"status": "error", "reason": str(exc)})
-            return
-        try:
-            pending, coalesced = self.coordinator.submit(request)
-        except _Rejected as exc:
-            self.respond_json(exc.status, {
-                "status": "rejected",
-                "reason": exc.reason,
-                "request_id": request.request_id,
-            })
-            return
-        if not pending.wait(request.deadline_s + self.WAIT_GRACE_S):
-            self.respond_json(504, {
-                "status": "error",
-                "reason": "deadline_exceeded",
-                "request_id": request.request_id,
-            })
-            return
-        reply = dict(pending.body)
-        if coalesced:
-            reply["coalesced"] = True
-        self.respond_json(pending.status, reply, pending.headers)
 
 
 def run_coordinator(
@@ -1605,9 +1457,6 @@ def run_coordinator(
     httpd = QuietHTTPServer((host, port), _CoordinatorHandler)
     httpd.coordinator = coordinator  # type: ignore[attr-defined]
     coordinator.set_url("http://%s:%d" % (host, httpd.server_address[1]))
-    restore = None
-    if install_signals:
-        restore = install_drain_signals(coordinator.drain_controller)
 
     def refresher() -> None:
         interval = coordinator.config.refresh_interval_s
@@ -1615,46 +1464,42 @@ def run_coordinator(
             coordinator.refresh_membership()
             coordinator.publish_cluster_metrics()
 
-    refresh_thread = threading.Thread(
+    threading.Thread(
         target=refresher, name="cluster-refresh", daemon=True
-    )
-    refresh_thread.start()
+    ).start()
     if coordinator.ha_enabled:
-        ha_thread = threading.Thread(
+        threading.Thread(
             target=coordinator.ha_loop, name="cluster-ha", daemon=True
-        )
-        ha_thread.start()
-    serve_thread = threading.Thread(
-        target=httpd.serve_forever, name="cluster-http", daemon=True
-    )
-    serve_thread.start()
-    if not quiet:
-        ha_note = ""
-        if coordinator.ha_enabled:
-            ha_note = " ha=%s id=%s lease=%.1fs" % (
-                "standby" if coordinator.config.standby else "active",
-                coordinator.config.coordinator_id,
-                coordinator.config.lease_ttl_s,
-            )
-        print("cluster coordinator listening on http://%s:%d "
-              "(heartbeat=%.1fs suspect=%.1fs dead=%.1fs limp=%.1fx%s) — "
-              "SIGTERM drains gracefully"
-              % (host, httpd.server_address[1],
-                 coordinator.config.heartbeat_interval_s,
-                 coordinator.config.membership.suspect_after_s,
-                 coordinator.config.membership.dead_after_s,
-                 coordinator.config.membership.limp_factor,
-                 ha_note), flush=True)
-    if ready_callback is not None:
-        ready_callback(coordinator, httpd)
+        ).start()
+
+    def ready() -> int:
+        if not quiet:
+            ha_note = ""
+            if coordinator.ha_enabled:
+                ha_note = " ha=%s id=%s lease=%.1fs" % (
+                    "standby" if coordinator.config.standby else "active",
+                    coordinator.config.coordinator_id,
+                    coordinator.config.lease_ttl_s,
+                )
+            print("cluster coordinator listening on http://%s:%d "
+                  "(heartbeat=%.1fs suspect=%.1fs dead=%.1fs limp=%.1fx%s) "
+                  "— SIGTERM drains gracefully"
+                  % (host, httpd.server_address[1],
+                     coordinator.config.heartbeat_interval_s,
+                     coordinator.config.membership.suspect_after_s,
+                     coordinator.config.membership.dead_after_s,
+                     coordinator.config.membership.limp_factor,
+                     ha_note), flush=True)
+        if ready_callback is not None:
+            ready_callback(coordinator, httpd)
+        return 0
+
     try:
-        while not coordinator.drain_controller.wait(0.2):
-            pass
+        return serve_until_drained(
+            httpd, coordinator.drain_controller, "cluster-http",
+            install_signals=install_signals, on_ready=ready,
+        )
     finally:
-        httpd.shutdown()
-        httpd.server_close()
-        if restore is not None:
-            restore()
         if not quiet:
             counters = coordinator._counters()
             print("coordinator drain (%s): %d estimate(s), %d sweep "
@@ -1663,7 +1508,6 @@ def run_coordinator(
                      counters["completed"],
                      counters["sweep_points_completed"],
                      counters["redispatches"]), flush=True)
-    return 0
 
 
 def run_cluster(

@@ -33,9 +33,9 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, cast
 
-from repro.parallel.jobs import JobError, JobSpec, job_seed, spec_from_wire
+from repro.parallel.jobs import JobError, spec_from_wire
 from repro.parallel.pool import execute_spec
 from repro.parallel.runners import seed_warm_cache, warm_cache_state
 from repro.cluster.protocol import (
@@ -50,12 +50,17 @@ from repro.cluster.protocol import (
 )
 from repro.core.explorer import DesignPoint, design_point_payload
 from repro.core.report import EnergyReport
-from repro.resilience.supervisor import ResilienceConfig, retry_backoff_s
-from repro.service.api import BadRequest, parse_request
+from repro.resilience.supervisor import retry_backoff_s
+from repro.service.api import (
+    BadRequest,
+    estimate_answer,
+    estimate_job,
+    parse_request,
+)
 from repro.service.breaker import BreakerRegistry
 from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
-from repro.service.lifecycle import DrainController, install_drain_signals
-from repro.systems import builder_spec, system_names
+from repro.service.lifecycle import DrainController, serve_until_drained
+from repro.systems import system_names
 
 __all__ = ["WorkerConfig", "ClusterWorker", "run_worker"]
 
@@ -413,30 +418,11 @@ class ClusterWorker:
             )
         except BadRequest as exc:
             return 400, {"status": "error", "reason": str(exc)}
-        # Mirror the single-node service's execution contract
-        # (CoEstimationService._execute_in_context): the request's
-        # deadline arms the in-run watchdog, and persistent per-site
-        # failures trip this worker's own breakers.
-        resilience = ResilienceConfig(
-            fault_plan=request.fault_plan,
-            watchdog_s=request.deadline_s,
-            max_retries=request.fault_retries,
-            breaker_registry=self.breakers.scoped(request.system),
-        )
-        builder, builder_kwargs = builder_spec(request.system)
-        spec = JobSpec(
-            fn="repro.parallel.runners:run_estimate",
-            payload={
-                "builder": builder,
-                "builder_kwargs": dict(builder_kwargs),
-                "strategy": request.strategy,
-                "label": "%s/%s" % (request.system, request.strategy),
-                "resilience": resilience,
-            },
-            label=request.request_id,
-            seed=job_seed(0, request.system),
-            trace=body.get("trace"),
-        )
+        # The request's deadline arms the in-run watchdog, and
+        # persistent per-site failures trip this worker's own breakers.
+        breakers = self.breakers.scoped(request.system)
+        spec = estimate_job(request, request.deadline_s, breakers,
+                            trace=body.get("trace"))
         try:
             report, seconds, _, _ = execute_spec(spec)
         except Exception as exc:  # noqa: BLE001 - job failure is data
@@ -446,31 +432,9 @@ class ClusterWorker:
                 "request_id": request.request_id,
                 "detail": "%s: %s" % (type(exc).__name__, exc),
             }
-        import dataclasses
-
-        degraded = any(
-            count > 0
-            for level, count in report.provenance.items()
-            if level != "exact"
-        )
-        return 200, {
-            "status": "ok",
-            "kind": JOB_KIND_ESTIMATE,
-            "request_id": request.request_id,
-            "system": request.system,
-            "strategy": request.strategy,
-            "total_energy_j": report.total_energy_j,
-            "provenance": dict(report.provenance),
-            "by_provenance": dict(report.by_provenance),
-            "degraded": degraded,
-            "breakers": {
-                name: snap["state"]
-                for name, snap in self.breakers.snapshot().items()
-                if name.startswith(request.system + ":")
-            },
-            "run_seconds": seconds,
-            "report": dataclasses.asdict(report),
-        }
+        answer = estimate_answer(request, report, breakers, seconds)
+        answer["kind"] = JOB_KIND_ESTIMATE
+        return 200, answer
 
     # -- warm-cache tier bridge ------------------------------------------
 
@@ -537,8 +501,9 @@ class _WorkerHandler(JsonRequestHandler):
             body = self.read_json_body()
             if body is None:
                 return
-            status, reply = self.worker.handle_run(body)
-            self.respond_json(status, reply)
+            server = cast(QuietHTTPServer, self.server)
+            with server.owed_answer():
+                self.respond_json(*self.worker.handle_run(body))
         elif self.path == "/decommission":
             body = self.read_json_body()
             if body is None:
@@ -572,14 +537,8 @@ def run_worker(
     httpd = QuietHTTPServer((config.host, config.port), _WorkerHandler)
     httpd.worker = worker  # type: ignore[attr-defined]
     worker.url = "http://%s:%d" % (config.host, httpd.server_address[1])
-    restore = None
-    if install_signals:
-        restore = install_drain_signals(worker.drain)
-    serve_thread = threading.Thread(
-        target=httpd.serve_forever, name="cluster-worker-http", daemon=True
-    )
-    serve_thread.start()
-    try:
+
+    def ready() -> int:
         if not worker.register():
             if not quiet:
                 print("worker %s could not register with %s after %d "
@@ -587,11 +546,10 @@ def run_worker(
                                       config.coordinator_url,
                                       config.register_retries), flush=True)
             return 1
-        heartbeat_thread = threading.Thread(
+        threading.Thread(
             target=worker.heartbeat_loop, name="cluster-worker-heartbeat",
             daemon=True,
-        )
-        heartbeat_thread.start()
+        ).start()
         if not quiet:
             print("cluster worker %s serving on %s (slots=%d) — "
                   "coordinator %s"
@@ -599,24 +557,19 @@ def run_worker(
                      config.coordinator_url), flush=True)
         if ready_callback is not None:
             ready_callback(worker, httpd)
-        while not worker.drain.wait(0.2):
-            pass
-        # Give in-flight runs a moment to finish before the server goes
-        # away; new /run calls are already refused with 503.
-        deadline = time.time() + 5.0
-        while time.time() < deadline:
-            if worker.load_snapshot()["in_flight"] == 0:
-                break
-            time.sleep(0.05)
+        return 0
+
+    # A drain refuses new /run calls with 503; the serve loop still lets
+    # the runs in flight send their answers before the server goes away.
+    try:
+        return serve_until_drained(
+            httpd, worker.drain, "cluster-worker-http",
+            install_signals=install_signals, on_ready=ready,
+        )
     finally:
-        httpd.shutdown()
-        httpd.server_close()
-        if restore is not None:
-            restore()
         if not quiet:
             snapshot = worker.load_snapshot()
             print("worker %s drained (%s): %d job(s) completed, %d failed"
                   % (config.worker_id,
                      worker.drain.reason or "requested",
                      snapshot["completed"], snapshot["failed"]), flush=True)
-    return 0

@@ -39,13 +39,10 @@ class EnergyCacheConfig:
             nano-joule software paths and pico-joule hardware paths.
         thresh_iss_calls: minimum number of low-level simulations of a
             path before its cached statistics may be used.
-        cache_delay: when True (the paper's "energy and delay
-            caching"), cycle counts are cached alongside energy.
     """
 
     thresh_variance: float = 0.02
     thresh_iss_calls: int = 3
-    cache_delay: bool = True
     granularity: str = "path"
 
     GRANULARITIES = ("path", "transition")
@@ -160,7 +157,6 @@ class EnergyCache:
             "config": {
                 "thresh_variance": self.config.thresh_variance,
                 "thresh_iss_calls": self.config.thresh_iss_calls,
-                "cache_delay": self.config.cache_delay,
                 "granularity": self.config.granularity,
             },
             "entries": [
@@ -254,10 +250,6 @@ class CachingStrategy(EstimationStrategy):
                 tracer.instant("cache.hit", track="strategy",
                                args={"cfsm": job.cfsm.name,
                                      "transition": job.transition.name})
-            if not self.cache.config.cache_delay:
-                # Energy-only caching still needs a delay; reuse the
-                # cached mean cycles (kept for the ablation study).
-                pass
             return Estimate(cycles=cycles, energy=energy, ran_low_level=False)
         if tracer.enabled:
             tracer.instant("cache.miss", track="strategy",

@@ -219,6 +219,139 @@ def design_point_from_payload(payload: Dict[str, Any]) -> DesignPoint:
     )
 
 
+@dataclass
+class SweepJobs:
+    """The jobs of one sweep, as :func:`parallel_sweep` and the cluster
+    coordinator's ``/sweep`` both run them.
+
+    ``specs`` are *DMA-major* (all priority assignments of one DMA size
+    adjacent, so a worker's warm-start cache sees the fewest
+    invalidations); ``sweep_order`` lists their indices in
+    :meth:`DesignSpaceExplorer.sweep` order (priorities-major), the
+    order results are returned in.  ``signature`` keys the checkpoint.
+    """
+
+    specs: List[Any]
+    sweep_order: List[int]
+    signature: str
+
+    def in_sweep_order(self, by_index: Dict[int, Any]) -> List[Any]:
+        """The values of ``by_index`` in sweep order (missing skipped)."""
+        return [by_index[i] for i in self.sweep_order if i in by_index]
+
+
+def sweep_jobs(
+    builder: Union[str, Callable],
+    dma_sizes: Sequence[int],
+    priority_assignments: Sequence[Dict[str, int]],
+    strategy: str = "caching",
+    warm_start: bool = False,
+    builder_kwargs: Optional[Dict[str, Any]] = None,
+    timeout_s: Optional[float] = None,
+    max_retries: int = 1,
+    collect_telemetry: bool = False,
+    root_seed: int = 0,
+    fault_plan=None,
+    fault_retries: int = 1,
+) -> SweepJobs:
+    """One ``run_explorer_point`` job per design point, labelled
+    ``dma=<words>,<priority order>`` and seeded from the label, so a
+    point's result does not depend on the process or node that runs it.
+    """
+    from repro.parallel import JobSpec, job_seed
+    from repro.resilience.checkpoint import (
+        resilience_signature,
+        sweep_signature,
+    )
+
+    priority_assignments = [dict(p) for p in priority_assignments]
+    common: Dict[str, Any] = {
+        "builder": builder,
+        "strategy": strategy,
+        "builder_kwargs": dict(builder_kwargs or {}),
+        "warm_start": warm_start,
+        "warm_key": "%s/%s" % (builder, strategy),
+    }
+    if fault_plan is not None:
+        common["fault_plan"] = fault_plan
+        common["fault_retries"] = fault_retries
+    specs = []
+    for dma in dma_sizes:
+        for priorities in priority_assignments:
+            label = "dma=%d,%s" % (dma, priority_label(priorities))
+            specs.append(JobSpec(
+                fn="repro.parallel.runners:run_explorer_point",
+                payload=dict(common, dma_block_words=dma,
+                             priorities=priorities),
+                label=label,
+                seed=job_seed(root_seed, label),
+                timeout_s=timeout_s,
+                max_retries=max_retries,
+                collect_telemetry=collect_telemetry,
+            ))
+    per_dma = len(priority_assignments)
+    # The signature covers everything that changes what a point means —
+    # but not the point list, so a partial checkpoint can seed a larger
+    # sweep over the same system.  The resilience section is folded in
+    # unconditionally (even all-None), so a no-fault checkpoint and a
+    # faulted one can never be mixed.
+    signature = sweep_signature(
+        builder=_builder_id(builder),
+        strategy=strategy,
+        builder_kwargs=dict(builder_kwargs or {}),
+        warm_start=warm_start,
+        root_seed=root_seed,
+        resilience=resilience_signature(
+            fault_plan=fault_plan,
+            fault_retries=(fault_retries if fault_plan is not None else None),
+            timeout_s=timeout_s,
+        ),
+    )
+    return SweepJobs(
+        specs=specs,
+        sweep_order=[dma_index * per_dma + prio_index
+                     for prio_index in range(per_dma)
+                     for dma_index in range(len(dma_sizes))],
+        signature=signature,
+    )
+
+
+def open_sweep_checkpoint(
+    jobs: SweepJobs,
+    checkpoint_path: Optional[str],
+    resume_path: Optional[str],
+) -> Tuple[Callable[[str, Dict[str, Any]], None], Dict[int, Dict[str, Any]]]:
+    """Returns ``(record, restored)`` for one sweep's checkpoint.
+
+    ``restored`` maps spec index to the payload of every point
+    ``resume_path`` already holds (a
+    :class:`~repro.resilience.checkpoint.CheckpointError` if that file
+    is missing or from another sweep).  ``record(label, payload)``
+    rewrites ``checkpoint_path`` with one more finished point; the file
+    is written once here, so it exists from the first moment on.
+    """
+    from repro.resilience.checkpoint import CheckpointWriter, load_checkpoint
+
+    completed: Dict[str, Any] = {}
+    if resume_path is not None:
+        completed = load_checkpoint(resume_path, jobs.signature)
+    writer = None
+    if checkpoint_path is not None:
+        writer = CheckpointWriter(checkpoint_path, jobs.signature,
+                                  completed=completed)
+        writer.flush()
+
+    def record(label: str, payload: Dict[str, Any]) -> None:
+        if writer is not None:
+            writer.record_and_flush(
+                label, payload, meta={"total_points": len(jobs.specs)})
+
+    restored = {index: completed[spec.label]
+                for index, spec in enumerate(jobs.specs)
+                if completed.get(spec.label) is not None}
+    return record, restored
+
+
 def parallel_sweep(
     builder: Union[str, Callable],
     dma_sizes: Sequence[int],
@@ -269,117 +402,48 @@ def parallel_sweep(
     itself excludes no one: both run and restored points come back in
     sweep order).
     """
-    from repro.parallel import JobSpec, job_seed, run_jobs
+    from repro.parallel import run_jobs
     from repro.parallel.jobs import JobResult
-    from repro.resilience.checkpoint import (
-        CheckpointWriter,
-        load_checkpoint,
-        resilience_signature,
-        sweep_signature,
-    )
 
-    dma_sizes = list(dma_sizes)
-    priority_assignments = [dict(p) for p in priority_assignments]
-    specs: List[JobSpec] = []
-    sweep_order: List[Tuple[int, int]] = []  # spec index -> (prio i, dma i)
-    warm_key = "%s/%s" % (builder, strategy)
-    payload_common: Dict[str, Any] = {
-        "builder": builder,
-        "strategy": strategy,
-        "builder_kwargs": dict(builder_kwargs or {}),
-        "warm_start": warm_start,
-        "warm_key": warm_key,
+    plan = sweep_jobs(
+        builder, dma_sizes, priority_assignments, strategy=strategy,
+        warm_start=warm_start, builder_kwargs=builder_kwargs,
+        timeout_s=timeout_s, max_retries=max_retries,
+        collect_telemetry=collect_telemetry, root_seed=root_seed,
+        fault_plan=fault_plan, fault_retries=fault_retries,
+    )
+    record, restored = open_sweep_checkpoint(
+        plan, checkpoint_path, resume_path
+    )
+    results: Dict[int, JobResult] = {
+        index: JobResult(
+            label=plan.specs[index].label,
+            index=index,
+            value=design_point_from_payload(payload),
+            attempts=0,
+            worker_pid=0,
+        )
+        for index, payload in restored.items()
     }
-    if fault_plan is not None:
-        payload_common["fault_plan"] = fault_plan
-        payload_common["fault_retries"] = fault_retries
-    for dma_index, dma in enumerate(dma_sizes):
-        for prio_index, priorities in enumerate(priority_assignments):
-            label = "dma=%d,%s" % (dma, priority_label(priorities))
-            payload = dict(payload_common)
-            payload["dma_block_words"] = dma
-            payload["priorities"] = priorities
-            specs.append(
-                JobSpec(
-                    fn="repro.parallel.runners:run_explorer_point",
-                    payload=payload,
-                    label=label,
-                    seed=job_seed(root_seed, label),
-                    timeout_s=timeout_s,
-                    max_retries=max_retries,
-                    collect_telemetry=collect_telemetry,
-                )
-            )
-            sweep_order.append((prio_index, dma_index))
-
-    # The signature covers everything that changes what a point means —
-    # but not the point list, so a partial checkpoint can seed a larger
-    # sweep over the same system.  The resilience section is folded in
-    # unconditionally (even all-None), so a no-fault checkpoint and a
-    # faulted one can never be mixed.
-    signature = sweep_signature(
-        builder=_builder_id(builder),
-        strategy=strategy,
-        builder_kwargs=dict(builder_kwargs or {}),
-        warm_start=warm_start,
-        root_seed=root_seed,
-        resilience=resilience_signature(
-            fault_plan=fault_plan,
-            fault_retries=(fault_retries if fault_plan is not None else None),
-            timeout_s=timeout_s,
-        ),
-    )
-    completed_payloads: Dict[str, Any] = {}
-    if resume_path is not None:
-        completed_payloads = load_checkpoint(resume_path, signature)
-    writer = (
-        CheckpointWriter(checkpoint_path, signature, completed=completed_payloads)
-        if checkpoint_path is not None
-        else None
-    )
-    if writer is not None:
-        writer.flush()  # the file exists from the first moment on
-
-    prefilled: Dict[int, JobResult] = {}
-    todo_specs: List[JobSpec] = []
-    todo_indices: List[int] = []
-    for index, spec in enumerate(specs):
-        payload = completed_payloads.get(spec.label)
-        if payload is not None:
-            prefilled[index] = JobResult(
-                label=spec.label,
-                index=index,
-                value=design_point_from_payload(payload),
-                attempts=0,
-                worker_pid=0,
-            )
-        else:
-            todo_specs.append(spec)
-            todo_indices.append(index)
+    todo_indices = [i for i in range(len(plan.specs)) if i not in restored]
 
     def handle(result) -> None:
-        if writer is not None and result.error is None and result.value is not None:
-            writer.record_and_flush(
-                result.label,
-                design_point_payload(result.value),
-                meta={"total_points": len(specs)},
-            )
+        if result.error is None and result.value is not None:
+            record(result.label, design_point_payload(result.value))
         if on_point is not None:
             on_point(result)
 
     fresh = (
-        run_jobs(todo_specs, jobs=jobs, stats=stats, on_result=handle)
-        if todo_specs
+        run_jobs([plan.specs[i] for i in todo_indices], jobs=jobs,
+                 stats=stats, on_result=handle)
+        if todo_indices
         else []
     )
-    results: Dict[int, JobResult] = dict(prefilled)
     for index, result in zip(todo_indices, fresh):
         result.index = index
         results[index] = result
-    by_sweep = sorted(range(len(specs)), key=lambda i: sweep_order[i])
-    points = [results[i].value for i in by_sweep]
-    ordered_results = [results[i] for i in by_sweep]
-    return points, ordered_results
+    ordered_results = plan.in_sweep_order(results)
+    return [result.value for result in ordered_results], ordered_results
 
 
 @dataclass

@@ -22,8 +22,8 @@ always returned in spec order.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import random
 import time
 import traceback
@@ -112,22 +112,26 @@ def execute_spec(
     return value, seconds, metrics, spans
 
 
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker loop: one job at a time until the ``None`` sentinel."""
+def _worker_main(task_queue, results) -> None:
+    """Worker loop: one job at a time until the ``None`` sentinel.
+
+    ``results`` is this worker's private pipe to the master; a send
+    completes before the job that follows it runs.
+    """
     pid = os.getpid()
     while True:
         item = task_queue.get()
         if item is None:
             return
         index, spec = item
-        result_queue.put(("started", pid, index, time.time()))
+        results.send(("started", pid, index, time.time()))
         try:
             value, seconds, metrics, spans = execute_spec(spec)
-            result_queue.put(("done", pid, index, value, seconds, metrics, spans))
+            results.send(("done", pid, index, value, seconds, metrics, spans))
         except BaseException:
             # Report and keep serving: an exception is a *job* failure,
             # not a worker failure (crashes are detected by exitcode).
-            result_queue.put(("error", pid, index, traceback.format_exc()))
+            results.send(("error", pid, index, traceback.format_exc()))
 
 
 def _run_inline(
@@ -191,10 +195,13 @@ class _Pool:
     Every worker owns a *private* task queue: the master decides which
     worker runs which job, so when a worker dies the master knows —
     from its own dispatch bookkeeping, not from worker messages —
-    exactly which job was lost.  (With a shared queue, a worker killed
-    hard enough, e.g. ``os._exit``, can take its in-flight job's
-    identity to the grave: the queue's feeder thread dies before
-    flushing the "started" message.)
+    exactly which job was lost.
+
+    Every worker also owns a *private* result pipe.  A shared result
+    queue's writers share one cross-process lock, which a worker dying
+    mid-write (``os._exit`` in a job, a timeout kill) leaves held: every
+    other worker then blocks and the run hangs.  A private pipe only
+    ends in end-of-file.
     """
 
     def __init__(self, workers: int) -> None:
@@ -202,59 +209,75 @@ class _Pool:
         self.ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self.result_queue = self.ctx.Queue()
-        self.workers: Dict[int, Tuple[Any, Any]] = {}  # pid -> (proc, taskq)
+        # pid -> (process, task queue, result pipe's read end)
+        self.workers: Dict[int, Tuple[Any, Any, Any]] = {}
         for _ in range(workers):
             self._spawn()
 
     def _spawn(self) -> int:
         task_queue = self.ctx.Queue()
+        reader, writer = self.ctx.Pipe(duplex=False)
         process = self.ctx.Process(
             target=_worker_main,
-            args=(task_queue, self.result_queue),
+            args=(task_queue, writer),
             daemon=True,
         )
         process.start()
-        self.workers[process.pid] = (process, task_queue)
+        writer.close()  # the worker's exit now reads as end-of-file
+        self.workers[process.pid] = (process, task_queue, reader)
         return process.pid
 
     def send(self, pid: int, item: Any) -> None:
         self.workers[pid][1].put(item)
 
+    def receive(self, timeout: float) -> List[Tuple]:
+        """The ready workers' messages, waiting up to ``timeout``."""
+        readers = [entry[2] for entry in self.workers.values()]
+        messages = []
+        for reader in multiprocessing.connection.wait(readers, timeout):
+            try:
+                messages.append(reader.recv())
+            except (EOFError, OSError):
+                pass  # the worker died; crash detection retries its job
+        return messages
+
+    def _close(self, entry: Tuple[Any, Any, Any]) -> None:
+        entry[1].close()
+        entry[2].close()
+
     def kill_worker(self, pid: int) -> None:
         entry = self.workers.pop(pid, None)
         if entry is None:
             return
-        process, task_queue = entry
+        process = entry[0]
         process.terminate()
         process.join(_TERMINATE_GRACE_S)
         if process.is_alive():
             process.kill()
             process.join()
-        task_queue.close()
+        self._close(entry)
 
     def dead_workers(self) -> List[int]:
         return [
             pid
-            for pid, (process, _) in self.workers.items()
-            if not process.is_alive()
+            for pid, entry in self.workers.items()
+            if not entry[0].is_alive()
         ]
 
     def reap(self, pid: int) -> None:
         entry = self.workers.pop(pid, None)
         if entry is not None:
             entry[0].join()
-            entry[1].close()
+            self._close(entry)
 
     def shutdown(self) -> None:
-        for _, task_queue in self.workers.values():
-            task_queue.put(None)
+        for entry in self.workers.values():
+            entry[1].put(None)
         deadline = time.time() + _TERMINATE_GRACE_S
-        for process, _ in list(self.workers.values()):
-            process.join(max(0.0, deadline - time.time()))
+        for entry in list(self.workers.values()):
+            entry[0].join(max(0.0, deadline - time.time()))
         for pid in list(self.workers):
             self.kill_worker(pid)
-        self.result_queue.close()
 
 
 def run_jobs(
@@ -340,12 +363,7 @@ def _run_pooled(
     try:
         dispatch()
         while len(results) < len(specs):
-            try:
-                message = pool.result_queue.get(timeout=_POLL_INTERVAL_S)
-            except queue_module.Empty:
-                message = None
-
-            if message is not None:
+            for message in pool.receive(_POLL_INTERVAL_S):
                 kind, pid = message[0], message[1]
                 if kind == "started":
                     _, _, index, started_at = message

@@ -20,13 +20,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cfsm.events import Event
 from repro.cfsm.fingerprint import cfsm_signature
 from repro.errors import ReproError
+from repro.parallel.jobs import JobSpec, job_seed
 from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import ResilienceConfig
+from repro.systems import builder_spec
 from repro.systems.bundle import SystemBundle
+
+if TYPE_CHECKING:
+    from repro.core.report import EnergyReport
+    from repro.service.breaker import ScopedBreakers
 
 __all__ = [
     "PRIORITIES",
@@ -36,6 +43,8 @@ __all__ = [
     "parse_request",
     "workload_signature",
     "request_fingerprint",
+    "estimate_job",
+    "estimate_answer",
 ]
 
 #: Admission priorities, lowest to highest.  Load shedding removes the
@@ -265,3 +274,58 @@ def request_fingerprint(bundle: SystemBundle,
         fault,
     )
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
+def estimate_job(request: EstimateRequest, watchdog_s: float,
+                 breakers: "ScopedBreakers",
+                 trace: Optional[Dict[str, str]] = None,
+                 collect_telemetry: bool = False) -> JobSpec:
+    """The ``run_estimate`` job that answers ``request``.
+
+    ``watchdog_s`` bounds every low-level call of the run; ``breakers``
+    are the caller's circuit breakers scoped to ``request.system``.
+    """
+    builder, builder_kwargs = builder_spec(request.system)
+    return JobSpec(
+        fn="repro.parallel.runners:run_estimate",
+        payload={
+            "builder": builder,
+            "builder_kwargs": dict(builder_kwargs),
+            "strategy": request.strategy,
+            "label": "%s/%s" % (request.system, request.strategy),
+            "resilience": ResilienceConfig(
+                fault_plan=request.fault_plan,
+                watchdog_s=watchdog_s,
+                max_retries=request.fault_retries,
+                breaker_registry=breakers,
+            ),
+        },
+        label=request.request_id,
+        seed=job_seed(0, request.system),
+        collect_telemetry=collect_telemetry,
+        trace=trace,
+    )
+
+
+def estimate_answer(request: EstimateRequest, report: "EnergyReport",
+                    breakers: "ScopedBreakers",
+                    run_seconds: float) -> Dict[str, Any]:
+    """The 200 body of a finished estimate.  ``repro serve`` adds
+    ``fingerprint`` and ``queue_seconds``, a cluster worker ``kind``,
+    and the coordinator ``fingerprint`` and ``cluster``."""
+    import dataclasses
+
+    return {
+        "status": "ok",
+        "request_id": request.request_id,
+        "system": request.system,
+        "strategy": request.strategy,
+        "total_energy_j": report.total_energy_j,
+        "provenance": dict(report.provenance),
+        "by_provenance": dict(report.by_provenance),
+        "degraded": any(count > 0 for level, count
+                        in report.provenance.items() if level != "exact"),
+        "breakers": breakers.states(),
+        "run_seconds": run_seconds,
+        "report": dataclasses.asdict(report),
+    }

@@ -260,3 +260,9 @@ class ScopedBreakers:
 
     def get(self, site: str) -> CircuitBreaker:
         return self._registry.get("%s:%s" % (self.prefix, site))
+
+    def states(self) -> Dict[str, str]:
+        """State of every breaker in this scope, keyed by full name."""
+        scope = self.prefix + ":"
+        return {name: state for name, state in self._registry.states().items()
+                if name.startswith(scope)}

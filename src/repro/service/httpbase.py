@@ -15,14 +15,22 @@ subclasses provide routing (``do_GET``/``do_POST``) and override
 from __future__ import annotations
 
 import json
+import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 __all__ = ["JsonRequestHandler", "QuietHTTPServer"]
 
 
 class QuietHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer with daemon threads and a ``quiet`` flag."""
+    """ThreadingHTTPServer with daemon threads and a ``quiet`` flag.
+
+    Process exit kills daemon handlers wherever they are, so a handler
+    that must not lose its answer runs inside :meth:`owed_answer`, and
+    :meth:`settle` waits for it before the server closes.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -30,7 +38,39 @@ class QuietHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], handler_class: Any,
                  quiet: bool = True) -> None:
         self.quiet = quiet
+        self._owed_lock = threading.Lock()
+        # Handler thread -> the result it blocks on (None while busy).
+        self._owed: Dict[int, Any] = {}
         super().__init__(address, handler_class)
+
+    @contextmanager
+    def owed_answer(self) -> Iterator[None]:
+        """Mark the calling handler as owing its client an answer."""
+        key = threading.get_ident()
+        with self._owed_lock:
+            self._owed[key] = None
+        try:
+            yield
+        finally:
+            with self._owed_lock:
+                del self._owed[key]
+
+    def waiting_on(self, result: Any) -> None:
+        """The calling handler now blocks on ``result`` (with ``done``)."""
+        with self._owed_lock:
+            self._owed[threading.get_ident()] = result
+
+    def settle(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` until every owed answer that can be
+        given is written; a handler blocked on an unresolved result is
+        not waited for."""
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            with self._owed_lock:
+                if not any(result is None or result.done
+                           for result in self._owed.values()):
+                    return
+            time.sleep(0.01)
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
@@ -75,6 +115,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             self.respond_json(400, {"status": "error",
                                     "reason": "body is not valid JSON"})
             return None
+
+    def query_param(self, name: str, default: str = "") -> str:
+        """First value of query parameter ``name`` in the request path."""
+        from urllib.parse import parse_qs, urlsplit
+
+        return (parse_qs(urlsplit(self.path).query).get(name) or [default])[0]
 
     # -- responses ------------------------------------------------------
 

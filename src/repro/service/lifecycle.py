@@ -23,7 +23,15 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.resilience.checkpoint import (
     CheckpointWriter,
@@ -31,9 +39,13 @@ from repro.resilience.checkpoint import (
     sweep_signature,
 )
 
+if TYPE_CHECKING:
+    from repro.service.httpbase import QuietHTTPServer
+
 __all__ = [
     "DrainController",
     "install_drain_signals",
+    "serve_until_drained",
     "raise_on_signals",
     "service_checkpoint_signature",
     "write_drain_checkpoint",
@@ -106,9 +118,13 @@ def install_drain_signals(
     def handler(signum: int, frame: Any) -> None:  # noqa: ARG001
         controller.request_drain("signal %d" % signum)
 
-    previous = {}
-    for signum in signals:
-        previous[signum] = signal.signal(signum, handler)
+    return _install_handler(signals, handler)
+
+
+def _install_handler(signals: Sequence[int],
+                     handler: Callable[[int, Any], None]) -> Callable[[], None]:
+    """Install ``handler`` for ``signals``; returns the restore function."""
+    previous = {signum: signal.signal(signum, handler) for signum in signals}
 
     def restore() -> None:
         for signum, old in previous.items():
@@ -117,9 +133,53 @@ def install_drain_signals(
     return restore
 
 
+#: Seconds a drained server gives its handlers to write the answers
+#: they owe before it closes.
+ANSWER_GRACE_S = 5.0
+
+
+def serve_until_drained(
+    httpd: "QuietHTTPServer",
+    controller: DrainController,
+    thread_name: str,
+    install_signals: bool = True,
+    on_ready: Optional[Callable[[], int]] = None,
+    on_drain: Optional[Callable[[], None]] = None,
+) -> int:
+    """Serve ``httpd`` until ``controller`` drains; returns the exit code.
+
+    The loop of ``repro serve``, ``cluster`` and ``worker``: serve on a
+    daemon thread, route SIGTERM/SIGINT into the controller, call
+    ``on_ready`` (a nonzero return exits at once with that code), and
+    block until a drain.  Then ``on_drain`` runs while the server still
+    answers, handlers get :data:`ANSWER_GRACE_S` to write the answers
+    they owe, and the server closes.
+    """
+    restore = install_drain_signals(controller) if install_signals else None
+    threading.Thread(
+        target=httpd.serve_forever, name=thread_name, daemon=True
+    ).start()
+    try:
+        status = on_ready() if on_ready is not None else 0
+        if status:
+            return status
+        # Short-timeout polling keeps the main thread responsive to
+        # signal handlers on every platform.
+        while not controller.wait(0.2):
+            pass
+        return 0
+    finally:
+        if on_drain is not None:
+            on_drain()
+        httpd.settle(ANSWER_GRACE_S)
+        httpd.shutdown()
+        httpd.server_close()
+        if restore is not None:
+            restore()
+
+
 def raise_on_signals(
     signals: Sequence[int] = (signal.SIGTERM,),
-    exception_factory: Optional[Callable[[int], BaseException]] = None,
 ) -> Callable[[], None]:
     """Convert ``signals`` into an in-band exception in the main thread.
 
@@ -130,26 +190,11 @@ def raise_on_signals(
     mid-sweep leaves a loadable checkpoint and no orphans.  Returns the
     restore function.
     """
-    if exception_factory is None:
-        def default_factory(signum: int) -> BaseException:
-            return SystemExit(128 + signum)
-
-        factory = default_factory
-    else:
-        factory = exception_factory
 
     def handler(signum: int, frame: Any) -> None:  # noqa: ARG001
-        raise factory(signum)
+        raise SystemExit(128 + signum)
 
-    previous = {}
-    for signum in signals:
-        previous[signum] = signal.signal(signum, handler)
-
-    def restore() -> None:
-        for signum, old in previous.items():
-            signal.signal(signum, old)
-
-    return restore
+    return _install_handler(signals, handler)
 
 
 #: Bump when the drain-checkpoint payload shape changes.

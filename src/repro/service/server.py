@@ -51,8 +51,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, cast
 
 from repro.errors import ReproError
 from repro.obs import Observability
@@ -73,29 +72,26 @@ from repro.obs.names import (
     METRIC_ADMISSION_STATIC_COST_SECONDS_PER_UNIT,
 )
 from repro.obs.slo import SLOConfig
-from repro.parallel.jobs import JobSpec, job_seed
-from repro.resilience.supervisor import (
-    ResilienceConfig,
-    WatchdogTimeout,
-    call_with_watchdog,
-)
+from repro.resilience.supervisor import WatchdogTimeout, call_with_watchdog
 from repro.service.api import (
     BadRequest,
     EstimateRequest,
+    estimate_answer,
+    estimate_job,
     parse_request,
     request_fingerprint,
 )
 from repro.service.breaker import BreakerRegistry
 from repro.service.dedup import InflightTable
-from repro.service.httpbase import JsonRequestHandler
+from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
 from repro.service.lifecycle import (
     DrainController,
-    install_drain_signals,
     load_drain_checkpoint,
+    serve_until_drained,
     write_drain_checkpoint,
 )
 from repro.service.queue import AdmissionQueue, QueueClosed, QueueFull
-from repro.systems import build_bundle, builder_spec, system_names
+from repro.systems import build_bundle, system_names
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -206,6 +202,16 @@ class _Entry:
     #: Static admission weight of the request
     #: (:attr:`repro.lint.cost.CostReport.cost_units`).
     cost: float = 1.0
+
+    @classmethod
+    def new(cls, request: EstimateRequest, bundle: Any, admitted_at: float,
+            cost: float = 1.0) -> "_Entry":
+        """An entry with a fresh trace context and result handle."""
+        context = RequestContext.new(request.request_id)
+        entry = cls(request, request_fingerprint(bundle, request),
+                    PendingResult(), admitted_at, context, cost)
+        entry.pending.trace_id = context.trace_id
+        return entry
 
 
 @dataclass
@@ -346,20 +352,11 @@ class CoEstimationService:
         if self.drain_controller.draining or self._stopped:
             self._count("service.rejected.draining")
             raise ServiceRejected("service is draining", 503, "draining")
-        context = RequestContext.new(request.request_id)
         bundle = build_bundle(request.system)
-        fingerprint = request_fingerprint(bundle, request)
         cost = self._static_cost(request.system, bundle)
-        entry = _Entry(
-            request=request,
-            fingerprint=fingerprint,
-            pending=PendingResult(),
-            admitted_at=self.clock(),
-            context=context,
-            cost=cost,
-        )
-        entry.pending.trace_id = context.trace_id
-        with use_context(context):
+        entry = _Entry.new(request, bundle, self.clock(), cost)
+        fingerprint = entry.fingerprint
+        with use_context(entry.context):
             primary = self.dedup.admit(fingerprint, entry)
             if primary is not entry:
                 self._count("service.coalesced")
@@ -529,49 +526,19 @@ class CoEstimationService:
         self._observe("service.queue_wait_seconds", queue_wait)
         remaining = request.deadline_s - queue_wait
         if remaining <= 0:
-            with self._lock:
-                self._expired += 1
-            self._count("service.deadline_expired")
-            self._resolve(
-                entry,
-                504,
-                {
-                    "status": "error",
-                    "reason": "deadline_exceeded",
-                    "request_id": request.request_id,
-                    "detail": "deadline of %.3fs expired after %.3fs in "
-                              "the queue" % (request.deadline_s, queue_wait),
-                },
-                event=EVENT_DEADLINE_EXPIRED,
-                queue_seconds=round(queue_wait, 6),
-            )
+            self._expire(entry, "deadline of %.3fs expired after %.3fs in "
+                         "the queue" % (request.deadline_s, queue_wait),
+                         queue_seconds=round(queue_wait, 6))
             return
         watchdog_s = remaining
         if self.config.call_watchdog_s is not None:
             watchdog_s = min(watchdog_s, self.config.call_watchdog_s)
-        resilience = ResilienceConfig(
-            fault_plan=request.fault_plan,
-            watchdog_s=watchdog_s,
-            max_retries=request.fault_retries,
-            breaker_registry=self.breakers.scoped(request.system),
-        )
-        builder, builder_kwargs = builder_spec(request.system)
-        spec = JobSpec(
-            fn="repro.parallel.runners:run_estimate",
-            payload={
-                "builder": builder,
-                "builder_kwargs": dict(builder_kwargs),
-                "strategy": request.strategy,
-                "label": "%s/%s" % (request.system, request.strategy),
-                "resilience": resilience,
-            },
-            label=request.request_id,
-            seed=job_seed(0, request.system),
+        breakers = self.breakers.scoped(request.system)
+        spec = estimate_job(
+            request, watchdog_s, breakers,
+            trace=(entry.context.to_payload()
+                   if entry.context is not None else None),
             collect_telemetry=self.telemetry.enabled,
-            trace=(
-                entry.context.to_payload()
-                if entry.context is not None else None
-            ),
         )
         from repro.parallel.pool import execute_spec
 
@@ -599,22 +566,8 @@ class CoEstimationService:
                 lambda: execute_spec(spec), remaining + 1.0
             )
         except WatchdogTimeout:
-            with self._lock:
-                self._expired += 1
-            self._count("service.deadline_expired")
-            self._resolve(
-                entry,
-                504,
-                {
-                    "status": "error",
-                    "reason": "deadline_exceeded",
-                    "request_id": request.request_id,
-                    "detail": "run exceeded the %.3fs remaining deadline"
-                              % remaining,
-                },
-                event=EVENT_DEADLINE_EXPIRED,
-                detail="watchdog",
-            )
+            self._expire(entry, "run exceeded the %.3fs remaining deadline"
+                         % remaining, detail="watchdog")
             return
         except Exception as exc:
             with self._lock:
@@ -637,8 +590,28 @@ class CoEstimationService:
             run_span.close()
         if entry.context is not None and job_spans:
             self._remember_trace(entry.context.trace_id, job_spans)
-        self._finish_ok(entry, report, queue_wait,
-                        self.clock() - started, run_seconds)
+        body = estimate_answer(request, report, breakers, run_seconds)
+        body["fingerprint"] = entry.fingerprint
+        body["queue_seconds"] = queue_wait
+        self._finish_ok(entry, body, self.clock() - started)
+
+    def _expire(self, entry: _Entry, message: str,
+                **event_fields: Any) -> None:
+        with self._lock:
+            self._expired += 1
+        self._count("service.deadline_expired")
+        self._resolve(
+            entry,
+            504,
+            {
+                "status": "error",
+                "reason": "deadline_exceeded",
+                "request_id": entry.request.request_id,
+                "detail": message,
+            },
+            event=EVENT_DEADLINE_EXPIRED,
+            **event_fields,
+        )
 
     def _remember_trace(self, trace_id: str, spans: List[Tuple]) -> None:
         with self._lock:
@@ -652,15 +625,10 @@ class CoEstimationService:
             spans = self._recent_traces.get(trace_id)
             return list(spans) if spans is not None else None
 
-    def _finish_ok(self, entry: _Entry, report: Any, queue_wait: float,
-                   wall_s: float, run_seconds: float) -> None:
-        import dataclasses
-
-        degraded = any(
-            count > 0
-            for level, count in report.provenance.items()
-            if level != "exact"
-        )
+    def _finish_ok(self, entry: _Entry, body: Dict[str, Any],
+                   wall_s: float) -> None:
+        provenance: Dict[str, int] = body["provenance"]
+        degraded = bool(body["degraded"])
         with self._lock:
             self._completed += 1
             self._avg_run_s = (
@@ -672,7 +640,7 @@ class CoEstimationService:
                 rate if self._seconds_per_cost_unit == 0.0
                 else 0.8 * self._seconds_per_cost_unit + 0.2 * rate
             )
-            for level, count in report.provenance.items():
+            for level, count in provenance.items():
                 self._provenance[level] = (
                     self._provenance.get(level, 0) + count
                 )
@@ -682,35 +650,17 @@ class CoEstimationService:
         if degraded:
             self._count("service.degraded_responses")
         self._observe("service.run_seconds", wall_s)
-        for level, count in sorted(report.provenance.items()):
+        for level, count in sorted(provenance.items()):
             if count > 0:
                 self.obs.record_answer(entry.request.system, level, count)
         self._resolve(
             entry,
             200,
-            {
-                "status": "ok",
-                "request_id": entry.request.request_id,
-                "system": entry.request.system,
-                "strategy": entry.request.strategy,
-                "fingerprint": entry.fingerprint,
-                "total_energy_j": report.total_energy_j,
-                "provenance": dict(report.provenance),
-                "by_provenance": dict(report.by_provenance),
-                "degraded": degraded,
-                "breakers": {
-                    name: snap["state"]
-                    for name, snap in self.breakers.snapshot().items()
-                    if name.startswith(entry.request.system + ":")
-                },
-                "queue_seconds": queue_wait,
-                "run_seconds": run_seconds,
-                "report": dataclasses.asdict(report),
-            },
+            body,
             event=EVENT_COMPLETED,
             system=entry.request.system,
             degraded=degraded,
-            run_seconds=round(run_seconds, 6),
+            run_seconds=round(body["run_seconds"], 6),
         )
 
     # -- drain ----------------------------------------------------------
@@ -876,25 +826,68 @@ class CoEstimationService:
 # ----------------------------------------------------------------------
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service reference."""
-
-    daemon_threads = True
-    allow_reuse_address = True
+class ServiceHTTPServer(QuietHTTPServer):
+    """The HTTP server of ``repro serve``; carries the service reference."""
 
     def __init__(self, address: Tuple[str, int],
                  service: CoEstimationService,
                  quiet: bool = True) -> None:
         self.service = service
-        self.quiet = quiet
-        super().__init__(address, _Handler)
+        super().__init__(address, _Handler, quiet=quiet)
+
+
+#: Grace added to a request's deadline while a handler waits for its
+#: pending result; a drain always resolves earlier.
+WAIT_GRACE_S = 5.0
+
+
+def answer_estimate(
+    handler: JsonRequestHandler,
+    submit: Callable[[EstimateRequest], Tuple[PendingResult, bool]],
+    default_deadline_s: float,
+    body: Any,
+) -> None:
+    """The ``POST /estimate`` flow of ``repro serve`` and the cluster
+    coordinator: parse, ``submit`` (which raises
+    :class:`ServiceRejected` to refuse), wait, answer."""
+    server = cast(QuietHTTPServer, handler.server)
+    with server.owed_answer():
+        try:
+            request = parse_request(
+                body, known_systems=system_names(),
+                default_deadline_s=default_deadline_s,
+            )
+        except BadRequest as exc:
+            handler.respond_json(400, {"status": "error",
+                                       "reason": str(exc)})
+            return
+        try:
+            pending, coalesced = submit(request)
+        except ServiceRejected as exc:
+            headers = {}
+            if exc.retry_after_s is not None:
+                headers["Retry-After"] = str(exc.retry_after_s)
+            handler.respond_json(exc.status, {
+                "status": "rejected",
+                "reason": exc.reason,
+                "request_id": request.request_id,
+            }, headers)
+            return
+        server.waiting_on(pending)
+        if not pending.wait(request.deadline_s + WAIT_GRACE_S):
+            handler.respond_json(504, {
+                "status": "error",
+                "reason": "deadline_exceeded",
+                "request_id": request.request_id,
+            })
+            return
+        reply = dict(pending.body)
+        if coalesced:
+            reply["coalesced"] = True
+        handler.respond_json(pending.status, reply, pending.headers)
 
 
 class _Handler(JsonRequestHandler):
-    #: Grace added to a request's deadline while the handler waits for
-    #: its pending result; drain always resolves earlier.
-    WAIT_GRACE_S = 5.0
-
     KNOWN_PATHS = (
         "/estimate", "/healthz", "/readyz", "/stats", "/metrics",
         "/debug/flightrecorder", "/debug/trace",
@@ -953,38 +946,8 @@ class _Handler(JsonRequestHandler):
         body = self.read_json_body()
         if body is None:
             return
-        try:
-            request = parse_request(
-                body,
-                known_systems=system_names(),
-                default_deadline_s=self.service.config.default_deadline_s,
-            )
-        except BadRequest as exc:
-            self.respond_json(400, {"status": "error", "reason": str(exc)})
-            return
-        try:
-            pending, coalesced = self.service.submit(request)
-        except ServiceRejected as exc:
-            headers = {}
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = str(exc.retry_after_s)
-            self.respond_json(exc.status, {
-                "status": "rejected",
-                "reason": exc.reason,
-                "request_id": request.request_id,
-            }, headers)
-            return
-        if not pending.wait(request.deadline_s + self.WAIT_GRACE_S):
-            self.respond_json(504, {
-                "status": "error",
-                "reason": "deadline_exceeded",
-                "request_id": request.request_id,
-            })
-            return
-        body = dict(pending.body)
-        if coalesced:
-            body["coalesced"] = True
-        self.respond_json(pending.status, body, pending.headers)
+        answer_estimate(self, self.service.submit,
+                        self.service.config.default_deadline_s, body)
 
 
 def run_server(
@@ -1016,36 +979,28 @@ def run_server(
                 print("resumed %d checkpointed request(s) from %s"
                       % (resumed, resume_path))
     httpd = ServiceHTTPServer((host, port), service, quiet=True)
-    restore = None
-    if install_signals:
-        restore = install_drain_signals(service.drain_controller)
-    serve_thread = threading.Thread(
-        target=httpd.serve_forever, name="coest-http", daemon=True
-    )
-    serve_thread.start()
-    if not quiet:
-        print("co-estimation service listening on http://%s:%d "
-              "(workers=%d queue=%d) — SIGTERM drains gracefully"
-              % (host, httpd.server_address[1], service.config.workers,
-                 service.config.queue_depth), flush=True)
-    if ready_callback is not None:
-        ready_callback(service, httpd)
-    try:
-        # Short-timeout polling keeps the main thread responsive to
-        # signal handlers on every platform.
-        while not service.drain_controller.wait(0.2):
-            pass
-    finally:
-        # Drain BEFORE shutting the HTTP layer down: the drain resolves
-        # every pending request (finished, checkpointed, or shed) and
-        # the handler threads need a live server to deliver those final
-        # responses to their clients.  New submissions are already
-        # refused with 503 the instant the drain flag is set.
+
+    def ready() -> int:
+        if not quiet:
+            print("co-estimation service listening on http://%s:%d "
+                  "(workers=%d queue=%d) — SIGTERM drains gracefully"
+                  % (host, httpd.server_address[1], service.config.workers,
+                     service.config.queue_depth), flush=True)
+        if ready_callback is not None:
+            ready_callback(service, httpd)
+        return 0
+
+    def drain() -> None:
+        # Drain BEFORE the HTTP layer closes: the drain resolves every
+        # pending request (finished, checkpointed, or shed) and the
+        # handler threads need a live server to deliver those final
+        # responses.  New submissions are already refused with 503 the
+        # instant the drain flag is set.
         report = service.drain()
-        httpd.shutdown()
-        httpd.server_close()
-        if restore is not None:
-            restore()
         if not quiet:
             print(report.summary(), flush=True)
-    return 0
+
+    return serve_until_drained(
+        httpd, service.drain_controller, "coest-http",
+        install_signals=install_signals, on_ready=ready, on_drain=drain,
+    )

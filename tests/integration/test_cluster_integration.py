@@ -338,3 +338,86 @@ def test_warm_tier_converges_through_the_coordinator(monkeypatch):
     assert status == 200
     state = reply["state"]
     assert state is not None and state["cache"]["entries"]
+
+
+#: Keys only one caller adds to the shared estimate answer, and the
+#: wall-clock ones; everything else must match byte for byte.
+SERVICE_ONLY = {"fingerprint", "queue_seconds"}
+WORKER_ONLY = {"kind", "worker"}
+
+
+def _without_timing(body, drop):
+    body = {key: value for key, value in body.items()
+            if key not in drop and key != "run_seconds"}
+    body["report"] = {key: value for key, value in body["report"].items()
+                      if not key.endswith("_seconds")}
+    return json.dumps(body, sort_keys=True)
+
+
+@pytest.mark.parametrize("body", [
+    {"system": "fig1", "strategy": "caching"},
+    {"system": "tcpip", "strategy": "macromodel"},
+    {"system": "fig1", "strategy": "full",
+     "fault": {"rate": 0.3, "sites": ["hw", "iss"], "seed": 11,
+               "retries": 0}},
+])
+def test_service_and_worker_give_the_same_answer(body):
+    from repro.service import CoEstimationService, ServiceConfig
+
+    request = parse_request(dict(body, request_id="same"),
+                            known_systems=system_names())
+    service = CoEstimationService(ServiceConfig(workers=1))
+    service.start()
+    try:
+        pending, _ = service.submit(request)
+        assert pending.wait(120.0)
+    finally:
+        service.drain(timeout_s=30.0)
+    worker = ClusterWorker(WorkerConfig(
+        coordinator_url="http://coordinator.invalid", worker_id="w0"))
+    status, answer = worker.handle_run({
+        "kind": "estimate", "request": request.to_payload(), "trace": None,
+    })
+    assert (pending.status, status) == (200, 200)
+    assert set(pending.body) - set(answer) == SERVICE_ONLY
+    assert set(answer) - set(pending.body) == WORKER_ONLY
+    assert (_without_timing(pending.body, SERVICE_ONLY)
+            == _without_timing(answer, WORKER_ONLY))
+
+
+def test_single_node_checkpoint_resumes_on_the_cluster(tmp_path,
+                                                        baseline_rows):
+    """The reverse of the handoff above: ``repro explore --checkpoint``
+    is interrupted, and the cluster's ``/sweep`` resumes its file."""
+    checkpoint = str(tmp_path / "sweep.ckpt")
+
+    class Interrupted(Exception):
+        pass
+
+    done = []
+
+    def interrupt_after_two(result):
+        done.append(result.label)
+        if len(done) == 2:
+            raise Interrupted()
+
+    with pytest.raises(Interrupted):
+        parallel_sweep(
+            BUILDER,
+            SWEEP_PARAMS["dma"],
+            priority_permutations(list(tcpip.BUS_MASTERS)),
+            strategy="caching",
+            jobs=1,
+            builder_kwargs=dict(BUILDER_KWARGS),
+            checkpoint_path=checkpoint,
+            on_point=interrupt_after_two,
+        )
+
+    cluster = InProcessCluster(["w0"])
+    status, body = cluster.coordinator.run_sweep(
+        dict(SWEEP_PARAMS, checkpoint=checkpoint, resume=True))
+    assert status == 200
+    assert body["status"] == "ok", body
+    assert body["restored"] == 2
+    assert body["workers"] == {"w0": POINTS - 2}
+    assert canonical(body["rows"]) == baseline_rows

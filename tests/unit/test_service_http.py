@@ -3,10 +3,17 @@
 import json
 import http.client
 import threading
+import time
 
 import pytest
 
-from repro.service import CoEstimationService, ServiceConfig, ServiceHTTPServer
+from repro.service import (
+    CoEstimationService,
+    PendingResult,
+    ServiceConfig,
+    ServiceHTTPServer,
+)
+from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
 
 from tests.unit.test_service_server import FakeExecutor
 
@@ -131,3 +138,34 @@ class TestEstimateEndpoint:
         assert statuses == [200, 200]
         assert len(fake.calls) == 1  # one run answered both clients
         assert sum(1 for r in results if r[2].get("coalesced")) == 1
+
+
+class TestSettle:
+    def test_waits_for_resolved_answers_not_for_runs_in_flight(self):
+        server = QuietHTTPServer(("127.0.0.1", 0), JsonRequestHandler)
+        pending = PendingResult()
+        waiting, answered = threading.Event(), threading.Event()
+
+        def handler():
+            with server.owed_answer():
+                server.waiting_on(pending)
+                waiting.set()
+                pending.wait(15.0)
+                time.sleep(0.3)  # writing the answer
+                answered.set()
+
+        thread = threading.Thread(target=handler, daemon=True)
+        try:
+            thread.start()
+            assert waiting.wait(5.0)
+            started = time.monotonic()
+            server.settle(10.0)  # the run is still in flight: no wait
+            assert time.monotonic() - started < 5.0
+            pending.resolve(503, {"status": "rejected"})
+            server.settle(10.0)  # resolved: wait until it is written
+            assert answered.is_set()
+        finally:
+            pending.resolve(503, {})
+            thread.join(15.0)
+            server.server_close()
+        assert not thread.is_alive()
