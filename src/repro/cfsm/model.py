@@ -245,21 +245,6 @@ class Network:
             if event_name in cfsm.outputs
         ]
 
-    def all_event_types(self) -> Dict[str, EventType]:
-        """Union of every declared event type, keyed by name."""
-        types: Dict[str, EventType] = {}
-        for _, cfsm in sorted(self.cfsms.items()):
-            for collection in (cfsm.inputs, cfsm.outputs):
-                for name, event_type in collection.items():
-                    known = types.get(name)
-                    if known is None:
-                        types[name] = event_type
-                    elif known != event_type:
-                        raise ValueError(
-                            "event %r declared with conflicting types" % name
-                        )
-        return types
-
     def external_inputs(self) -> Set[str]:
         """Events consumed somewhere but produced by no CFSM."""
         produced = set()

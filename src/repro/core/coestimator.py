@@ -9,9 +9,11 @@ co-simulations under any estimation strategy::
     fast = estimator.estimate(stimuli, strategy="macromodel")
     print(fast.report.speedup_over(baseline.report))
 
-Macro-model characterization (the paper's Figure 3 flow) runs lazily
-the first time the ``"macromodel"`` strategy is requested and is reused
-across runs, like the pre-characterized library of the paper.
+Software macro-model characterization (the paper's Figure 3 flow) runs
+lazily the first time the ``"macromodel"`` strategy is requested and is
+reused across runs, like the pre-characterized library of the paper;
+hardware blocks are characterized under ``config.library`` as the run
+first reaches them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.cfsm.events import Event
-from repro.cfsm.model import Implementation, Network
+from repro.cfsm.model import Network
 from repro.core.caching import CachingStrategy, EnergyCacheConfig
 from repro.core.macromodel import (
-    HwMacroProfile,
     MacroModelCharacterizer,
     MacromodelStrategy,
     ParameterFile,
-    characterize_hw,
 )
 from repro.core.report import EnergyReport
 from repro.core.sampling import SamplingStrategy
@@ -58,7 +58,6 @@ class PowerCoEstimator:
         self.network = network
         self.config = config or MasterConfig()
         self._parameter_file: Optional[ParameterFile] = None
-        self._hw_profiles: Optional[Dict[str, HwMacroProfile]] = None
 
     # -- macro-model library -----------------------------------------------------
 
@@ -68,17 +67,6 @@ class PowerCoEstimator:
             characterizer = MacroModelCharacterizer(self.config.power_model)
             self._parameter_file = characterizer.characterize()
         return self._parameter_file
-
-    def hw_profiles(self) -> Dict[str, HwMacroProfile]:
-        """Probabilistic RTL profiles for every hardware block (lazy)."""
-        if self._hw_profiles is None:
-            self._hw_profiles = {}
-            for name, cfsm in sorted(self.network.cfsms.items()):
-                if self.network.implementation(name) == Implementation.HW:
-                    self._hw_profiles[name] = characterize_hw(
-                        cfsm, self.config.library
-                    )
-        return self._hw_profiles
 
     # -- strategies -----------------------------------------------------------
 
@@ -94,7 +82,7 @@ class PowerCoEstimator:
             return CachingStrategy(EnergyCacheConfig())
         if spec == "macromodel":
             return MacromodelStrategy(
-                self.parameter_file(), hw_profiles=self.hw_profiles()
+                self.parameter_file(), library=self.config.library
             )
         if spec == "sampling":
             return SamplingStrategy()

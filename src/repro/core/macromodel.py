@@ -32,7 +32,7 @@ from __future__ import annotations
 import io
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
 
 from repro.cfsm.actions import MacroOpKind, all_macro_op_names
@@ -102,9 +102,6 @@ class ParameterFile:
     def cost(self, op_name: str) -> MacroCost:
         """Cost record for ``op_name`` (zero cost if uncharacterized)."""
         return self.costs.get(op_name, MacroCost())
-
-    def set_cost(self, op_name: str, cost: MacroCost) -> None:
-        self.costs[op_name] = cost
 
     def estimate_ops(self, op_names: List[str]) -> Tuple[float, float]:
         """(cycles, energy joules) for a macro-operation stream."""
@@ -340,19 +337,19 @@ def characterize_hw(cfsm: Cfsm, library=None) -> HwMacroProfile:
 
 
 class MacromodelStrategy(EstimationStrategy):
-    """Co-estimation accelerated with power macro-modeling."""
+    """Co-estimation accelerated with power macro-modeling.
+
+    Each hardware block is characterized with :func:`characterize_hw`
+    under ``library`` (``None``: the default library) the first time
+    one of its transitions is estimated.
+    """
 
     name = "macromodel"
 
-    def __init__(
-        self,
-        parameter_file: ParameterFile,
-        hw_profiles: Optional[Dict[str, HwMacroProfile]] = None,
-        hw_profile_factory: Optional[Callable[[Cfsm], HwMacroProfile]] = None,
-    ) -> None:
+    def __init__(self, parameter_file: ParameterFile, library=None) -> None:
         self.parameter_file = parameter_file
-        self.hw_profiles: Dict[str, HwMacroProfile] = dict(hw_profiles or {})
-        self.hw_profile_factory = hw_profile_factory or characterize_hw
+        self.library = library
+        self.hw_profiles: Dict[str, HwMacroProfile] = {}
         self.sw_estimates = 0
         self.hw_estimates = 0
 
@@ -372,7 +369,7 @@ class MacromodelStrategy(EstimationStrategy):
         self.hw_estimates += 1
         profile = self.hw_profiles.get(job.cfsm.name)
         if profile is None:
-            profile = self.hw_profile_factory(job.cfsm)
+            profile = characterize_hw(job.cfsm, self.library)
             self.hw_profiles[job.cfsm.name] = profile
         cycles = HW_TRANSITION_OVERHEAD_CYCLES
         for name in job.op_names:

@@ -346,10 +346,3 @@ class CompiledSimulator:
         for index, net in enumerate(nets):
             value |= self.values[net] << index
         return value
-
-    def peek_nets(self, nets: Sequence[int]) -> int:
-        """Bus value over arbitrary nets (for white-box tests)."""
-        value = 0
-        for index, net in enumerate(nets):
-            value |= self.values[net] << index
-        return value

@@ -26,37 +26,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
 from repro.hw.netlist import CONST0, CONST1, Netlist
-
-
-@dataclass
-class PowerSummary:
-    """Summary statistics over a per-cycle energy trace."""
-
-    cycles: int
-    total_energy_j: float
-    average_power_w: float
-    peak_power_w: float
-
-    @classmethod
-    def from_trace(
-        cls, energies: Sequence[float], clock_period_s: float
-    ) -> "PowerSummary":
-        """Summarize per-cycle energies at the given clock period."""
-        cycles = len(energies)
-        total = float(sum(energies))
-        if cycles == 0 or clock_period_s <= 0:
-            return cls(cycles=cycles, total_energy_j=total,
-                       average_power_w=0.0, peak_power_w=0.0)
-        return cls(
-            cycles=cycles,
-            total_energy_j=total,
-            average_power_w=total / (cycles * clock_period_s),
-            peak_power_w=max(energies) / clock_period_s,
-        )
 
 
 _PROB_FUNCS = {

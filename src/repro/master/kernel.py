@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,6 @@ class EventQueue:
         _, _, item = heapq.heappop(self._heap)
         self.dispatched += 1
         return item
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest item, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -692,20 +692,19 @@ class SimulationMaster:
     def _estimate_supervised(self, job: EstimationJob) -> Estimate:
         """Ask the strategy, riding the degradation ladder on failure.
 
-        With a resilience layer armed (and degradation enabled), a
-        persistently failed component estimator becomes a fallback
-        estimate instead of an aborted run.  Every estimate leaves with
-        a provenance tag; strategies that didn't set one get it derived
-        here (low-level run → ``exact``; macro-modeling → ``macromodel``;
-        caching and sampling replay prior statistics → ``cached``).
+        With a resilience layer armed, a persistently failed component
+        estimator becomes a fallback estimate instead of an aborted run.
+        Every estimate leaves with a provenance tag; strategies that
+        didn't set one get it derived here (low-level run → ``exact``;
+        macro-modeling → ``macromodel``; caching and sampling replay
+        prior statistics → ``cached``).
         """
-        if self.resilience is not None and self.resilience.config.degradation:
-            try:
-                estimate = self.strategy.estimate(job)
-            except EstimatorUnavailable:
-                estimate = self.resilience.fallback(job)
-        else:
+        try:
             estimate = self.strategy.estimate(job)
+        except EstimatorUnavailable:
+            if self.resilience is None:
+                raise
+            estimate = self.resilience.fallback(job)
         if not estimate.provenance:
             if estimate.ran_low_level:
                 estimate.provenance = "exact"

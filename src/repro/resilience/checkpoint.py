@@ -69,18 +69,16 @@ def resilience_signature(
     fault_plan: Any = None,
     fault_retries: Optional[int] = None,
     timeout_s: Optional[float] = None,
-    degradation: bool = True,
 ) -> Dict[str, Any]:
     """Canonical digest-ready view of a run's resilience configuration.
 
-    Fault injection, the supervised retry budget, per-point timeouts,
-    and the degradation switch all change the *meaning* of a completed
-    point (its provenance mix, even its energy total) without changing
-    the design point itself.  Sweeps must therefore fold this dict into
-    :func:`sweep_signature` unconditionally — including the all-``None``
-    no-fault shape — so that resuming a checkpoint written under a
-    different fault plan or retry budget is rejected instead of silently
-    mixing provenances.
+    Fault injection, the supervised retry budget and per-point timeouts
+    all change the *meaning* of a completed point (its provenance mix,
+    even its energy total) without changing the design point itself.
+    Sweeps must therefore fold this dict into :func:`sweep_signature`
+    unconditionally — including the all-``None`` no-fault shape — so
+    that resuming a checkpoint written under a different fault plan or
+    retry budget is rejected instead of silently mixing provenances.
     """
     plan: Any = fault_plan
     if plan is not None and dataclasses.is_dataclass(plan):
@@ -89,7 +87,9 @@ def resilience_signature(
         "fault_plan": plan,
         "fault_retries": fault_retries,
         "timeout_s": timeout_s,
-        "degradation": degradation,
+        # The ladder is always on; the constant keeps the signatures of
+        # existing checkpoints (and so their resumability) unchanged.
+        "degradation": True,
     }
 
 

@@ -14,9 +14,11 @@ energy.  This module hardens that call:
   estimate anyway, walking the paper's own accuracy hierarchy:
 
   1. ``exact`` — the low-level simulation itself;
-  2. ``cached`` — the Section 4.2 energy cache's converged path mean
-     (a shadow cache fed by every successful exact run);
-  3. ``macromodel`` — the Section 4.1 pre-characterized macro-model;
+  2. ``cached`` — the path mean of a per-run Section 4.2
+     :class:`~repro.core.caching.EnergyCache` fed by every successful
+     exact run;
+  3. ``macromodel`` — the Section 4.1 :class:`~repro.core.macromodel.
+     MacromodelStrategy`, built with the run's gate library;
   4. ``degraded`` — a last-resort analytical estimate (one controller
      state per macro-operation at the processor's pipeline-fill
      energy), so a run *always* completes with a number and a
@@ -136,10 +138,8 @@ class ResilienceConfig:
         watchdog_s: wall-clock budget per component invocation; ``None``
             disables the watchdog (and its per-call thread).
         max_retries: transient-failure retries per invocation before
-            the invocation is declared persistently failed.
-        degradation: when True (default), persistent failures fall down
-            the cached → macromodel → degraded ladder instead of
-            aborting the run.
+            the invocation is declared persistently failed (and falls
+            down the cached → macromodel → degraded ladder).
         max_energy_j: sanity bound of the result validator — a single
             transition above this is treated as corrupted (component
             energies in this framework are nano- to micro-joules).
@@ -164,7 +164,6 @@ class ResilienceConfig:
     fault_plan: Optional[FaultPlan] = None
     watchdog_s: Optional[float] = None
     max_retries: int = 1
-    degradation: bool = True
     max_energy_j: float = 1e-3
     backoff_base_s: float = 0.01
     backoff_cap_s: float = 0.25
@@ -196,22 +195,8 @@ class ResilienceConfig:
             raise ValueError("backoff_cap_s must be non-negative")
 
 
-@dataclass
-class _ShadowStats:
-    """Running mean of exact results for one path (Welford, mean only)."""
-
-    count: int = 0
-    mean_energy: float = 0.0
-    mean_cycles: float = 0.0
-
-    def update(self, energy: float, cycles: int) -> None:
-        self.count += 1
-        self.mean_energy += (energy - self.mean_energy) / self.count
-        self.mean_cycles += (cycles - self.mean_cycles) / self.count
-
-
 class ResilientEstimator:
-    """Per-run supervision state: injector, shadow cache, fallbacks.
+    """Per-run supervision state: injector, exact-run cache, fallbacks.
 
     One instance belongs to one :class:`~repro.master.master.
     SimulationMaster`; the master wraps every ``run_low_level`` closure
@@ -227,6 +212,9 @@ class ResilientEstimator:
         telemetry=None,
         macromodel_factory: Optional[Callable[[], object]] = None,
     ) -> None:
+        # Imported lazily: repro.core imports the master package, which
+        # imports this module.
+        from repro.core.caching import EnergyCache
         from repro.telemetry import NULL_TELEMETRY
 
         self.config = config
@@ -241,8 +229,10 @@ class ResilientEstimator:
         self._macromodel_factory = macromodel_factory
         self._macromodel = None
         self._macromodel_failed = False
-        self._shadow_by_path: Dict[Tuple, _ShadowStats] = {}
-        self._shadow_by_transition: Dict[Tuple, _ShadowStats] = {}
+        # Every exact result of this run only, under its path key and
+        # its (cfsm, transition) key: never the strategy's own cache,
+        # which a warm start fills from other design points.
+        self._exact = EnergyCache()
         self.retries = 0
         self.backoff_seconds = 0.0
         self.watchdog_timeouts = 0
@@ -268,7 +258,7 @@ class ResilientEstimator:
         """Wrap one ``run_low_level`` closure with the full treatment.
 
         The wrapper injects faults (when a plan is armed), enforces the
-        watchdog, validates the result, feeds the shadow cache, and
+        watchdog, validates the result, feeds the exact-run cache, and
         retries transient failures; after ``max_retries`` consecutive
         failures it raises :class:`EstimatorUnavailable` for the master
         to route down the degradation ladder.
@@ -335,7 +325,12 @@ class ResilientEstimator:
                     if breaker is not None:
                         breaker.record_success()
                     if path_key is not None:
-                        self._record_exact(path_key, estimate)
+                        self._exact.update(
+                            path_key, estimate.energy, estimate.cycles
+                        )
+                        self._exact.update(
+                            path_key[:2], estimate.energy, estimate.cycles
+                        )
                     return estimate
                 attempts += 1
                 if attempts > self.config.max_retries:
@@ -408,17 +403,6 @@ class ResilientEstimator:
                 sim_time_ns=sim_time_ns,
             )
 
-    def _record_exact(self, path_key: Tuple, estimate: Estimate) -> None:
-        stats = self._shadow_by_path.get(path_key)
-        if stats is None:
-            stats = self._shadow_by_path[path_key] = _ShadowStats()
-        stats.update(estimate.energy, estimate.cycles)
-        transition_key = path_key[:2]
-        stats = self._shadow_by_transition.get(transition_key)
-        if stats is None:
-            stats = self._shadow_by_transition[transition_key] = _ShadowStats()
-        stats.update(estimate.energy, estimate.cycles)
-
     # ------------------------------------------------------------------
     # The degradation ladder
     # ------------------------------------------------------------------
@@ -429,12 +413,11 @@ class ResilientEstimator:
         Walks cached → macromodel → degraded; always returns an
         estimate, tagged with the level that produced it.
         """
-        stats = self._shadow_by_path.get(job.path_key)
+        entries = self._exact.entries
+        stats = entries.get(job.path_key)
         if stats is None:
-            stats = self._shadow_by_transition.get(
-                (job.cfsm.name, job.transition.name)
-            )
-        if stats is not None and stats.count > 0:
+            stats = entries.get((job.cfsm.name, job.transition.name))
+        if stats is not None:
             self._count_fallback("cached")
             return Estimate(
                 cycles=int(round(stats.mean_cycles)),
@@ -476,7 +459,9 @@ class ResilientEstimator:
                     parameter_file = MacroModelCharacterizer(
                         self.power_model
                     ).characterize()
-                    self._macromodel = MacromodelStrategy(parameter_file)
+                    self._macromodel = MacromodelStrategy(
+                        parameter_file, library=self.library
+                    )
             except Exception:
                 self._macromodel_failed = True
                 return None

@@ -92,10 +92,6 @@ class EstimateRequest:
         if not self.request_id:
             self.request_id = "req-%d" % next(_request_counter)
 
-    @property
-    def priority_name(self) -> str:
-        return PRIORITY_NAMES.get(self.priority, str(self.priority))
-
     def to_payload(self) -> Dict[str, Any]:
         """JSON-able snapshot for the drain checkpoint."""
         payload: Dict[str, Any] = {

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.errors import ReproError
 
 from repro.cfsm.expr import BinaryOp, Const, EventValue, Expression, UnaryOp, Var
-from repro.cfsm.model import Cfsm, Transition
+from repro.cfsm.model import Cfsm
 from repro.cfsm.sgraph import (
     Assign,
     Emit,
@@ -142,10 +142,6 @@ class CompiledCfsm:
     cfsm: Cfsm
     program: Program
     memory_map: MemoryMap
-
-    def entry_for(self, transition: Transition) -> int:
-        """Instruction index of ``transition``'s entry point."""
-        return self.program.entry(transition_label(self.cfsm.name, transition.name))
 
 
 class CodeGenerator:

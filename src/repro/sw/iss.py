@@ -643,15 +643,6 @@ class Iss:
             raise IssError("unimplemented opcode %r" % instruction.op)
         return executor(self, instruction, memory, result)
 
-    def _second_operand(self, instruction: Instruction) -> int:
-        if instruction.rs2 is not None:
-            return self.registers[instruction.rs2]
-        return instruction.imm or 0
-
-    def _write_reg(self, rd: int, value: int) -> None:
-        if rd != 0:
-            self.registers[rd] = value
-
     def _branch_taken(self, op: str) -> bool:
         if op == Opcode.BA:
             return True

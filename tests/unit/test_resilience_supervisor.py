@@ -1,11 +1,16 @@
 """Supervised estimator calls: watchdog, retry, validation, ladder."""
 
 import time
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.macromodel import MacromodelStrategy, ParameterFile
 from repro.estimation import Estimate
+from repro.hw.library import GateLibrary
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.supervisor import (
     CorruptedEstimate,
@@ -16,6 +21,7 @@ from repro.resilience.supervisor import (
     call_with_watchdog,
 )
 from repro.sw.power_model import InstructionPowerModel
+from repro.systems import build_bundle
 from repro.telemetry import Telemetry
 
 
@@ -168,7 +174,7 @@ class TestDegradationLadder:
             "iss", "cfsm", lambda: Estimate(8, 5e-9, True), path_key=seen_key
         )()
         # Same (cfsm, transition) but an unseen path: transition-level
-        # shadow mean answers.
+        # exact-run mean answers.
         estimate = estimator.fallback(_job(path_key=("cfsm", "t", ("s9",))))
         assert estimate.provenance == "cached"
         assert estimate.energy == pytest.approx(5e-9)
@@ -234,13 +240,100 @@ class TestDegradationLadder:
             macromodel_factory=lambda: fake,
         )
         key = ("cfsm", "t", ("s0",))
-        # No shadow data yet: macromodel answers.
+        # No exact runs yet: macromodel answers.
         assert estimator.fallback(_job(path_key=key)).provenance == "macromodel"
         # After one exact run the cached rung takes precedence.
         estimator.supervise(
             "iss", "cfsm", lambda: Estimate(5, 2e-9, True), path_key=key
         )()
         assert estimator.fallback(_job(path_key=key)).provenance == "cached"
+
+
+@dataclass
+class _ShadowStats:
+    """Reference running mean of exact results (Welford, mean only)."""
+
+    count: int = 0
+    mean_energy: float = 0.0
+    mean_cycles: float = 0.0
+
+    def update(self, energy: float, cycles: int) -> None:
+        self.count += 1
+        self.mean_energy += (energy - self.mean_energy) / self.count
+        self.mean_cycles += (cycles - self.mean_cycles) / self.count
+
+
+#: Three paths through each of two transitions; path "c" is never run,
+#: so it is always answered from its transition's mean (or not cached).
+_ORACLE_PATHS = [
+    ("cfsm", transition, (branch,))
+    for transition in ("t0", "t1")
+    for branch in ("a", "b", "c")
+]
+
+
+class TestCachedRungOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([k for k in _ORACLE_PATHS if k[2] != ("c",)]),
+            st.floats(min_value=0.0, max_value=1e-6, allow_nan=False),
+            st.integers(min_value=0, max_value=100_000),
+        ),
+        max_size=30,
+    ))
+    def test_fallback_matches_running_mean(self, runs):
+        fake = SimpleNamespace(estimate=lambda job: Estimate(1, 0.0, False))
+        estimator = ResilientEstimator(
+            ResilienceConfig(),
+            power_model=InstructionPowerModel(),
+            macromodel_factory=lambda: fake,
+        )
+        by_path, by_transition = {}, {}
+        for key, energy, cycles in runs:
+            estimator.supervise(
+                "iss", "cfsm",
+                lambda e=energy, c=cycles: Estimate(c, e, True),
+                path_key=key,
+            )()
+            by_path.setdefault(key, _ShadowStats()).update(energy, cycles)
+            by_transition.setdefault(key[:2], _ShadowStats()).update(
+                energy, cycles
+            )
+        for key in _ORACLE_PATHS:
+            oracle = by_path.get(key) or by_transition.get(key[:2])
+            estimate = estimator.fallback(_job(path_key=key))
+            if oracle is None:
+                assert estimate.provenance == "macromodel"
+                continue
+            assert estimate.provenance == "cached"
+            assert estimate.energy == oracle.mean_energy
+            assert estimate.cycles == int(round(oracle.mean_cycles))
+
+
+class TestMacromodelRungLibrary:
+    def test_hw_fallback_uses_the_configured_library(self):
+        library = GateLibrary(vdd=1.8)
+        bundle = build_bundle("tcpip")
+        cfsm = bundle.network.cfsms["checksum"]
+        job = SimpleNamespace(
+            kind="hw",
+            cfsm=cfsm,
+            transition=cfsm.transitions[0],
+            path_key=("checksum", cfsm.transitions[0].name, ()),
+            op_names=("AVV", "AVV", "ASHRD"),
+        )
+        estimator = ResilientEstimator(
+            ResilienceConfig(),
+            power_model=bundle.config.power_model,
+            library=library,
+        )
+        estimate = estimator.fallback(job)
+        assert estimate.provenance == "macromodel"
+        expected = MacromodelStrategy(ParameterFile(), library=library)
+        assert estimate.energy == expected.estimate(job).energy
+        default = MacromodelStrategy(ParameterFile()).estimate(job)
+        assert estimate.energy != default.energy
 
 
 class TestBypassAndAccounting:
