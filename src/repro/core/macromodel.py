@@ -321,13 +321,17 @@ class HwMacroProfile:
 
 
 def characterize_hw(cfsm: Cfsm, library=None) -> HwMacroProfile:
-    """Build the probabilistic energy-per-cycle profile of one block."""
+    """Build the probabilistic energy-per-cycle profile of one block.
+
+    The block comes from the process-wide synthesis cache, which the
+    gate-level simulator of the same CFSM and library shares.
+    """
     from repro.hw.library import GateLibrary
     from repro.hw.power import probabilistic_power
-    from repro.hw.synth import synthesize_cfsm
+    from repro.hw.synth import synthesize_cfsm_cached
 
     lib = library or GateLibrary.default()
-    block = synthesize_cfsm(cfsm, lib)
+    block = synthesize_cfsm_cached(cfsm, lib)
     period_s = cfsm.clock_period_ns * 1e-9
     power = probabilistic_power(block.netlist, period_s, lib)
     return HwMacroProfile(

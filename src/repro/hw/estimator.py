@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.deadline import WatchdogTimeout, check_deadline, current_deadline
 from repro.errors import ReproError
 
 from repro.cfsm.model import Cfsm
@@ -217,13 +219,27 @@ class HardwarePowerSimulator:
             )
         if metrics is not None:
             metrics.counter("hw.run_memo.misses").inc()
+        deadline = current_deadline()
+        if deadline is not None:
+            # A run its deadline stops is undone, as a memo replay
+            # loads a run's end state.
+            before = (bytes(values), self._needs_settle, sim.cycle,
+                      sim.total_energy, sim.total_toggles)
         if self._needs_settle:
             # Flip-flop D inputs must follow the poked state before the
             # first clock edge.
             sim.settle()
             self._needs_settle = False
         toggles_before = sim.total_toggles
-        result = self._run_transition(transition_name, input_values, read_values)
+        try:
+            result = self._run_transition(
+                transition_name, input_values, read_values, deadline
+            )
+        except WatchdogTimeout:
+            (net_values, self._needs_settle, sim.cycle, sim.total_energy,
+             sim.total_toggles) = before
+            sim.load(net_values)
+            raise
         _HW_RUN_MEMO.put(key, (
             HwRunResult(
                 cycles=result.cycles,
@@ -243,6 +259,7 @@ class HardwarePowerSimulator:
         transition_name: str,
         input_values: Optional[Dict[str, int]] = None,
         read_values: Optional[List[int]] = None,
+        deadline: Optional[float] = None,
     ) -> HwRunResult:
         if transition_name not in self.block.go_ports:
             raise KeyError(
@@ -272,6 +289,8 @@ class HardwarePowerSimulator:
                     % (self.cfsm.name, transition_name,
                        self.max_cycles_per_transition)
                 )
+            if deadline is not None:
+                check_deadline(deadline)
             energy = sim.step(inputs)
             inputs = {self.block.go_ports[transition_name]: 0}
             result.cycles += 1

@@ -40,9 +40,10 @@ __all__ = [
 FAULT_SITES = ("hw", "iss", "cache", "bus")
 
 #: ``exception`` raises :class:`InjectedFault` from the component call;
-#: ``hang`` sleeps inside the call (caught by the watchdog when one is
-#: configured); ``corrupt`` lets the call succeed but poisons the
-#: returned energy value (caught by the supervisor's validator).
+#: ``hang`` sleeps inside the call (only until the watchdog's deadline
+#: when one is configured, then times out); ``corrupt`` lets the call
+#: succeed but poisons the returned energy value (caught by the
+#: supervisor's validator).
 FAULT_KINDS = ("exception", "hang", "corrupt")
 
 #: Corruption modes for ``kind="corrupt"``.

@@ -6,7 +6,8 @@ invoke the ISS or the gate-level simulator, read back cycles and
 energy.  This module hardens that call:
 
 * a **watchdog** bounds its wall-clock time (a hung estimator becomes
-  a :class:`WatchdogTimeout` instead of a hung run);
+  a :class:`WatchdogTimeout` instead of a hung run): the call runs
+  inline under a deadline the engines poll (see :mod:`repro.deadline`);
 * a **validator** rejects corrupted results (NaN, negative, absurdly
   large energy) as :class:`CorruptedEstimate`;
 * a bounded **retry** loop absorbs transient failures;
@@ -38,6 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.deadline import WatchdogTimeout, deadline_after, sleep_within_deadline
 from repro.errors import ReproError
 from repro.estimation import Estimate, EstimationJob
 from repro.obs.context import emit_event
@@ -62,10 +64,6 @@ __all__ = [
 
 #: The degradation ladder, most to least accurate.
 PROVENANCE_LEVELS = ("exact", "cached", "macromodel", "degraded")
-
-
-class WatchdogTimeout(ReproError):
-    """A supervised call exceeded its wall-clock budget."""
 
 
 class CorruptedEstimate(ReproError):
@@ -98,12 +96,14 @@ def retry_backoff_s(site: str, attempt: int, base_s: float,
 def call_with_watchdog(fn: Callable, timeout_s: float):
     """Run ``fn()`` with a wall-clock budget; returns its result.
 
-    The call runs on a daemon worker thread; if it does not finish
-    within ``timeout_s`` a :class:`WatchdogTimeout` is raised and the
-    thread is *abandoned* (Python offers no safe preemption) — callers
-    must treat the supervised object as suspect afterwards, which is
-    exactly what the degradation ladder does.  Exceptions raised by
-    ``fn`` are re-raised in the caller.
+    The once-per-job backstop of the service and the job pool; the
+    estimator calls inside a job are bounded inline instead, by the
+    deadline of :meth:`ResilientEstimator.supervise`.  The call runs on
+    a daemon worker thread; if it does not finish within ``timeout_s``
+    a :class:`WatchdogTimeout` is raised and the thread is *abandoned*
+    (Python offers no safe preemption), so callers must not reuse what
+    the job touched.  Exceptions raised by ``fn`` are re-raised in the
+    caller.
     """
     if timeout_s is None:
         return fn()
@@ -136,7 +136,7 @@ class ResilienceConfig:
     Attributes:
         fault_plan: optional fault-injection plan (testing/chaos runs).
         watchdog_s: wall-clock budget per component invocation; ``None``
-            disables the watchdog (and its per-call thread).
+            disables the watchdog.
         max_retries: transient-failure retries per invocation before
             the invocation is declared persistently failed (and falls
             down the cached → macromodel → degraded ladder).
@@ -257,11 +257,13 @@ class ResilientEstimator:
     ) -> Callable[[], Estimate]:
         """Wrap one ``run_low_level`` closure with the full treatment.
 
-        The wrapper injects faults (when a plan is armed), enforces the
-        watchdog, validates the result, feeds the exact-run cache, and
-        retries transient failures; after ``max_retries`` consecutive
-        failures it raises :class:`EstimatorUnavailable` for the master
-        to route down the degradation ladder.
+        The wrapper injects faults (when a plan is armed), runs the call
+        inline under the watchdog's deadline (the engines poll it and
+        restore their state when it passes), validates the result,
+        feeds the exact-run cache, and retries transient failures; after
+        ``max_retries`` consecutive failures it raises
+        :class:`EstimatorUnavailable` for the master to route down the
+        degradation ladder.
 
         With a circuit breaker armed for ``site`` (see
         ``ResilienceConfig.breaker_registry``), an open breaker
@@ -274,21 +276,17 @@ class ResilientEstimator:
             spec: Optional[FaultSpec] = (
                 self.injector.draw(site) if self.injector is not None else None
             )
-
-            def inner() -> Estimate:
+            with deadline_after(self.config.watchdog_s):
                 if spec is not None:
                     if spec.kind == "exception":
                         raise self.injector.make_fault(
                             spec, component=component, sim_time_ns=sim_time_ns
                         )
                     if spec.kind == "hang":
-                        _time.sleep(spec.hang_s)
+                        sleep_within_deadline(spec.hang_s)
                 estimate = fn()
-                if spec is not None and spec.kind == "corrupt":
-                    estimate.energy = spec.corrupt_energy(estimate.energy)
-                return estimate
-
-            estimate = call_with_watchdog(inner, self.config.watchdog_s)
+            if spec is not None and spec.kind == "corrupt":
+                estimate.energy = spec.corrupt_energy(estimate.energy)
             self._validate(estimate, component, sim_time_ns)
             return estimate
 

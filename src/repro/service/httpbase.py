@@ -83,6 +83,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-coestimation/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle's algorithm on,
+    # a keep-alive client would wait out a delayed ACK per response.
+    disable_nagle_algorithm = True
 
     #: Paths counted under their own label; everything else is pooled
     #: as "other" so probing garbage paths cannot explode cardinality.

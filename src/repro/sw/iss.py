@@ -28,6 +28,7 @@ from typing import (
     Callable, Dict, Iterable, List, MutableMapping, NamedTuple, Optional,
     Sequence, Set, Tuple,
 )
+from repro.deadline import WatchdogTimeout, check_deadline, current_deadline
 from repro.errors import ReproError
 
 from repro.cfsm.expr import _BINOP_FUNCS
@@ -42,6 +43,10 @@ PIPELINE_FILL_CYCLES = 1
 
 #: Safety bound per invocation.
 DEFAULT_MAX_INSTRUCTIONS = 5_000_000
+
+#: Retired instructions between two polls of a supervised call's
+#: deadline (see :mod:`repro.deadline`).
+DEADLINE_POLL_INSTRUCTIONS = 1024
 
 _ALU_SEMANTICS = {
     Opcode.ADD: _BINOP_FUNCS["ADD"],
@@ -310,6 +315,10 @@ def _pack(values: Iterable[int]) -> Sequence[int]:
         return values
 
 
+#: Marks an address a run stored to that its memory did not hold.
+_ABSENT = object()
+
+
 class _RecordingMemory:
     """The caller's memory as seen by one run, noting what replay needs.
 
@@ -317,14 +326,17 @@ class _RecordingMemory:
     load before the run stored to it.  ``stores`` holds each stored
     address's last value in first-store order: applied with ``update``
     it leaves a dict exactly as the run's stores, in order, did.
+    ``overwritten`` holds what each stored address held before the run
+    (or ``_ABSENT``), for :meth:`rollback`.
     """
 
-    __slots__ = ("memory", "first_reads", "stores")
+    __slots__ = ("memory", "first_reads", "stores", "overwritten")
 
     def __init__(self, memory: MutableMapping[int, int]) -> None:
         self.memory = memory
         self.first_reads: Dict[int, int] = {}
         self.stores: Dict[int, int] = {}
+        self.overwritten: Dict[int, object] = {}
 
     def get(self, address: int, default: int) -> int:
         value = self.memory.get(address, default)
@@ -333,8 +345,19 @@ class _RecordingMemory:
         return value
 
     def __setitem__(self, address: int, value: int) -> None:
+        if address not in self.stores:
+            self.overwritten[address] = self.memory.get(address, _ABSENT)
         self.memory[address] = value
         self.stores[address] = value
+
+    def rollback(self) -> None:
+        """Undo every store of the run."""
+        memory = self.memory
+        for address, value in self.overwritten.items():
+            if value is _ABSENT:
+                del memory[address]
+            else:
+                memory[address] = value
 
 
 class Iss:
@@ -414,7 +437,9 @@ class Iss:
     ) -> IssResult:
         """Replay an identical previous invocation, or run and record it."""
         if breakpoints or self.record_trace:
-            return self._run_program(entry, memory, breakpoints)
+            return self._run_program(
+                entry, _RecordingMemory(memory), breakpoints
+            )
         key = (
             self._program_token,
             self._model_token,
@@ -451,7 +476,7 @@ class Iss:
         if metrics is not None:
             metrics.counter("iss.run_memo.misses").inc()
         seen_memory = _RecordingMemory(memory)
-        result = self._run_program(entry, seen_memory)  # type: ignore[arg-type]
+        result = self._run_program(entry, seen_memory)
         recording = _Recording(
             _pack(seen_memory.first_reads),
             tuple(seen_memory.first_reads.values()),
@@ -475,8 +500,34 @@ class Iss:
     def _run_program(
         self,
         entry: str,
-        memory: MutableMapping[int, int],
+        memory: _RecordingMemory,
         breakpoints: Optional[Set[str]] = None,
+    ) -> IssResult:
+        """Interpret one invocation.
+
+        Under a deadline (see :mod:`repro.deadline`) the loop polls it
+        every :data:`DEADLINE_POLL_INSTRUCTIONS` instructions; a run it
+        stops leaves registers, flags and memory as they were.
+        """
+        deadline = current_deadline()
+        if deadline is None:
+            return self._interpret(entry, memory, breakpoints, None)
+        registers = self.registers[:]
+        flags = (self._flag_eq, self._flag_lt)
+        try:
+            return self._interpret(entry, memory, breakpoints, deadline)
+        except WatchdogTimeout:
+            memory.rollback()
+            self.registers[:] = registers
+            self._flag_eq, self._flag_lt = flags
+            raise
+
+    def _interpret(
+        self,
+        entry: str,
+        memory: MutableMapping[int, int],
+        breakpoints: Optional[Set[str]],
+        deadline: Optional[float],
     ) -> IssResult:
         result = IssResult()
         result.cycles = PIPELINE_FILL_CYCLES
@@ -493,12 +544,22 @@ class Iss:
         pending_load_rd: Optional[int] = None
         instructions = self.program.instructions
         decode = self._decode
+        # The instruction bound doubles as the deadline's poll point.
+        limit = self.max_instructions
+        if deadline is not None:
+            limit = min(limit, DEADLINE_POLL_INSTRUCTIONS)
 
         while True:
-            if result.instruction_count >= self.max_instructions:
-                raise IssError(
-                    "invocation exceeded %d instructions (runaway loop?)"
-                    % self.max_instructions
+            if result.instruction_count >= limit:
+                if result.instruction_count >= self.max_instructions:
+                    raise IssError(
+                        "invocation exceeded %d instructions (runaway loop?)"
+                        % self.max_instructions
+                    )
+                check_deadline(deadline)
+                limit = min(
+                    self.max_instructions,
+                    result.instruction_count + DEADLINE_POLL_INSTRUCTIONS,
                 )
             if pc in break_indexes and result.instruction_count > 0:
                 result.stopped_at_breakpoint = break_indexes[pc]

@@ -153,14 +153,21 @@ def test_worker_death_mid_sweep_redispatches_byte_identically(
     cluster = InProcessCluster(["w0", "w1", "w2"])
     dispatches = {}
     victim = {}
+    killed = threading.Event()
 
     def kill_on_second_dispatch(worker_id, path):
         if path != "/run":
             return
         dispatches[worker_id] = dispatches.get(worker_id, 0) + 1
         victim.setdefault("id", worker_id)
-        if worker_id == victim["id"] and dispatches[worker_id] == 2:
+        if worker_id != victim["id"]:
+            # Each other worker holds its first point here until the
+            # victim is dead, so the queue still has a point left for
+            # the victim's second dispatch.
+            killed.wait(60.0)
+        elif dispatches[worker_id] == 2:
             cluster.fail.add(worker_id)  # crashes mid-job, job unfinished
+            killed.set()
 
     cluster.on_dispatch = kill_on_second_dispatch
     status, body = cluster.coordinator.run_sweep(dict(SWEEP_PARAMS))
@@ -178,17 +185,23 @@ def test_draining_worker_hands_shard_off_without_penalty(baseline_rows):
     cluster = InProcessCluster(["w0", "w1", "w2"])
     dispatches = {}
     victim = {}
+    drained = threading.Event()
 
     def drain_before_second_dispatch(worker_id, path):
         if path != "/run":
             return
         dispatches[worker_id] = dispatches.get(worker_id, 0) + 1
         victim.setdefault("id", worker_id)
-        if worker_id == victim["id"] and dispatches[worker_id] == 2:
+        if worker_id != victim["id"]:
+            # As in the worker-death test: the others wait until the
+            # victim's second dispatch has happened.
+            drained.wait(60.0)
+        elif dispatches[worker_id] == 2:
             # Operator decommissions the node between two jobs: the
             # worker answers 503 and the coordinator hands its shard
             # to the ring successors.
             cluster.workers[worker_id].decommission("scale-down")
+            drained.set()
 
     cluster.on_dispatch = drain_before_second_dispatch
     status, body = cluster.coordinator.run_sweep(dict(SWEEP_PARAMS))

@@ -206,8 +206,16 @@ class TestDeadlineDump:
         dump_dir = service.config.flight_dump_dir
         # Pin the single worker with a real run, then let a queued
         # request's tiny deadline lapse before a worker can take it.
+        # Every gate-level call of the blocker hangs 5 ms (well inside
+        # its deadline), so the run outlasts 10 ms however warm the
+        # process caches are.
         blocker, _ = service.submit(req({"system": "fig1",
-                                         "strategy": "full"}))
+                                         "strategy": "full",
+                                         "fault": {"rate": 1.0,
+                                                   "sites": ["hw"],
+                                                   "kind": "hang",
+                                                   "hang_s": 0.005,
+                                                   "retries": 0}}))
         doomed, _ = service.submit(req({"system": "tcpip",
                                         "strategy": "caching",
                                         "deadline_s": 0.01}))

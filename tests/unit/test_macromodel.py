@@ -118,3 +118,39 @@ class TestHwMacroModel:
         profile = characterize_hw(builder.build())
         assert profile.energy_per_cycle_j > 0
         assert profile.clock_period_ns > 0
+
+
+def test_macromodel_estimates_reuse_the_synthesized_blocks(monkeypatch):
+    """Characterizing a hardware block takes its netlist from the
+    process-wide synthesis cache, so a repeated macromodel estimate
+    synthesizes nothing, and its report does not move a bit."""
+    import dataclasses
+
+    from repro.hw import synth
+    from repro.parallel.runners import run_estimate
+    from repro.systems import build_bundle, builder_spec
+
+    synthesized = []
+    uncached = synth.synthesize_cfsm
+
+    def counting(cfsm, library=None):
+        synthesized.append(cfsm.name)
+        return uncached(cfsm, library)
+
+    monkeypatch.setattr(synth, "synthesize_cfsm", counting)
+    synth.clear_synth_cache()
+    builder, kwargs = builder_spec("tcpip")
+    reports = [
+        dataclasses.asdict(run_estimate(builder, dict(kwargs),
+                                        strategy="macromodel"))
+        for _ in range(2)
+    ]
+    blocks = sorted(cfsm.name for cfsm in
+                    build_bundle("tcpip").network.hardware_cfsms())
+    assert blocks
+    assert sorted(synthesized) == blocks
+    assert synth.SYNTH_CACHE_STATS.misses == len(blocks)
+    for report in reports:
+        for key in [key for key in report if key.endswith("_seconds")]:
+            del report[key]
+    assert repr(reports[0]) == repr(reports[1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.macromodel import MacromodelStrategy, ParameterFile
+from repro.deadline import check_deadline, current_deadline
 from repro.estimation import Estimate
 from repro.hw.library import GateLibrary
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
@@ -140,9 +141,15 @@ class TestSupervision:
 
     def test_watchdog_timeout_counted(self):
         estimator = _estimator(max_retries=0, watchdog_s=0.05)
-        supervised = estimator.supervise(
-            "iss", "producer", lambda: time.sleep(5.0)
-        )
+
+        def slow():
+            # Polls its deadline the way the ISS and gate-level loops do.
+            deadline = current_deadline()
+            while True:
+                check_deadline(deadline)
+                time.sleep(0.001)
+
+        supervised = estimator.supervise("iss", "producer", slow)
         with pytest.raises(EstimatorUnavailable):
             supervised()
         assert estimator.watchdog_timeouts == 1

@@ -169,3 +169,37 @@ class TestSettle:
             thread.join(15.0)
             server.server_close()
         assert not thread.is_alive()
+
+
+class _EchoHandler(JsonRequestHandler):
+    def do_POST(self):
+        body = self.read_json_body()
+        if body is not None:
+            self.respond_json(200, {"echo": body})
+
+
+class TestKeepAlive:
+    def test_reused_connection_answers_without_a_delayed_ack(self):
+        # Headers and body leave in two writes; with Nagle's algorithm
+        # on, every answer on a kept-alive connection waits ~40 ms for
+        # the client's delayed ACK (about 0.9 s for these 20 requests).
+        server = QuietHTTPServer(("127.0.0.1", 0), _EchoHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=15)
+        try:
+            started = time.monotonic()
+            for index in range(20):
+                connection.request(
+                    "POST", "/echo", body=json.dumps({"n": index}),
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"echo": {"n": index}}
+            elapsed = time.monotonic() - started
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+        assert elapsed < 0.4, elapsed
