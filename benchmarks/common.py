@@ -57,20 +57,9 @@ def clear_process_caches() -> None:
     sequential code path, whose energies the cached and parallel
     sweeps must reproduce exactly.
     """
-    from repro.cfsm.sgraph import clear_sgraph_compile_cache
-    from repro.hw.estimator import clear_hw_run_memo
-    from repro.hw.logicsim import clear_compile_cache
-    from repro.hw.synth import clear_synth_cache
-    from repro.sw.codegen import clear_codegen_cache
-    from repro.sw.iss import clear_decode_cache, clear_iss_run_memo
+    from repro.lru import clear_process_caches as clear_all
 
-    clear_compile_cache()
-    clear_synth_cache()
-    clear_codegen_cache()
-    clear_decode_cache()
-    clear_hw_run_memo()
-    clear_iss_run_memo()
-    clear_sgraph_compile_cache()
+    clear_all()
 
 
 def write_metrics(name: str, snapshot: Dict) -> str:

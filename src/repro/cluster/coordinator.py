@@ -50,6 +50,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability, labeled
@@ -78,6 +79,7 @@ from repro.obs.names import (
     METRIC_CLUSTER_REDISPATCHES,
     METRIC_CLUSTER_REPLAY_SECONDS,
     METRIC_CLUSTER_STALE_EPOCH,
+    METRIC_CLUSTER_SWEEP_DISPATCHES,
     METRIC_CLUSTER_WORKER_QUEUE_DEPTH,
     METRIC_CLUSTER_WORKERS,
 )
@@ -112,6 +114,7 @@ from repro.cluster.protocol import (
     REASON_NOT_LEADER,
     REASON_STALE_EPOCH,
     STATUS_STALE_EPOCH,
+    JsonSession,
     TransportError,
     get_json,
     post_json,
@@ -155,6 +158,13 @@ _SWEEP_STRATEGIES = ("full", "caching", "macromodel", "sampling")
 #: The fig.7 sweep's builder — the same one ``repro explore`` names.
 _SWEEP_BUILDER = "repro.systems.tcpip:build_system"
 
+#: Sweep dispatch batches (docs/cluster.md, "Sweep dispatch"): a thread
+#: takes ``len(pending) // (_BATCH_SPREAD * workers)`` points, between 1
+#: and ``_BATCH_MAX``, so sweeps of up to ``_BATCH_SPREAD`` points per
+#: worker, and every sweep's tail, still go one point per request.
+_BATCH_MAX = 8
+_BATCH_SPREAD = 4
+
 #: Coordinator roles under HA.  Without a ``control_dir`` the single
 #: coordinator is permanently ``leader``; a ``fenced`` coordinator has
 #: seen proof of a newer epoch and refuses the data plane until it
@@ -181,7 +191,8 @@ class ClusterConfig:
     #: Deterministic backoff between re-dispatch attempts.
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 1.0
-    #: Socket budget for one dispatched sweep point.
+    #: Socket budget per dispatched sweep point (a batch gets this
+    #: times its size).
     request_timeout_s: float = 120.0
     default_deadline_s: float = 30.0
     ring_replicas: int = 64
@@ -226,6 +237,22 @@ class ClusterConfig:
             raise ValueError("journal_tail_interval_s must be positive")
         if self.standby and self.control_dir is None:
             raise ValueError("a standby coordinator needs a control_dir")
+
+
+class _TransportSession:
+    """The session shape over an injected per-exchange transport."""
+
+    def __init__(self, transport: Callable[..., Tuple[int, Dict[str, Any]]],
+                 url: str) -> None:
+        self.transport = transport
+        self.url = url
+
+    def post(self, path: str, body: Dict[str, Any],
+             timeout_s: float) -> Tuple[int, Dict[str, Any]]:
+        return self.transport(self.url, path, body, timeout_s)
+
+    def close(self) -> None:
+        pass
 
 
 @dataclass
@@ -275,6 +302,11 @@ class ClusterCoordinator:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.clock = clock
         self.transport = transport if transport is not None else post_json
+        # A sweep dispatch thread holds one session per round: a
+        # keep-alive connection, or an injected transport per exchange.
+        self._open_session: Callable[[str], Any] = (
+            JsonSession if transport is None
+            else partial(_TransportSession, transport))
         if logger is None:
             logger = (JsonLogger(component="coordinator")
                       if self.config.log_json else NULL_LOGGER)
@@ -297,6 +329,7 @@ class ClusterCoordinator:
         self._quarantines = 0
         self._sweeps = 0
         self._sweep_points = 0
+        self._sweep_dispatches = 0
         self._cache_lock = threading.Lock()
         self._cache_tier: Dict[str, Dict[str, Any]] = {}
         # -- high availability state (inert when control_dir is unset) --
@@ -792,10 +825,6 @@ class ClusterCoordinator:
         with self._ring_lock:
             return self.ring.preference(key)
 
-    def _ring_node_for(self, key: str) -> Optional[str]:
-        with self._ring_lock:
-            return self.ring.node_for(key)
-
     # -- estimates -------------------------------------------------------
 
     def submit(self, request: EstimateRequest) -> Tuple[PendingResult, bool]:
@@ -1025,105 +1054,155 @@ class ClusterCoordinator:
         lock = threading.Lock()
         workers_used: Dict[str, int] = {}
 
-        def run_for(worker_id: str) -> None:
+        def take_batch(worker_id: str, owners: Dict[int, Optional[str]],
+                       workers: int) -> List[int]:
+            """Pop the next batch for ``worker_id`` (``lock`` held).
+
+            Shard affinity first (keeps the worker's local warm caches
+            hot), then steal from the queue head.
+            """
+            size = min(_BATCH_MAX, max(
+                1, len(pending) // (_BATCH_SPREAD * workers)))
+            batch = [index for index in pending
+                     if owners.get(index) == worker_id][:size]
+            if len(batch) < size:
+                batch += [index for index in pending
+                          if owners.get(index) != worker_id
+                          ][:size - len(batch)]
+            taken = set(batch)
+            pending[:] = [index for index in pending if index not in taken]
+            return batch
+
+        def requeue(batch: List[int]) -> None:
+            with lock:
+                pending[:0] = batch
+
+        def settle(worker_id: str, index: int, answer: Any) -> Optional[int]:
+            """Record one job's answer; the fencing epoch if it was
+            refused as stale (the job did not run), else ``None``."""
+            spec = specs[index]
+            if not isinstance(answer, dict):
+                answer = {"reason": "malformed job result"}
+            status = answer.get("status")
+            if status == STATUS_STALE_EPOCH \
+                    and answer.get("reason") == REASON_STALE_EPOCH:
+                return int(answer.get("epoch") or 0)
+            result = answer.get("result") or {}
+            payload = (result.get("payload")
+                       if result.get("type") == "design_point" else None)
+            error = None
+            if status != 200:
+                error = str(answer.get("detail") or answer.get("reason")
+                            or "HTTP %s" % status)
+            elif not isinstance(payload, dict):
+                error = ("worker %s returned a non-design-point result"
+                         % worker_id)
+            if error is not None:
+                with lock:
+                    errors[index] = error
+                return None
+            with lock:
+                results[index] = payload
+                workers_used[worker_id] = workers_used.get(worker_id, 0) + 1
+                record(spec.label, payload)
+            with self._lock:
+                self._sweep_points += 1
+            self.obs.event(
+                EVENT_SWEEP_STEP, label=spec.label, worker=worker_id,
+                run_seconds=round(float(answer.get("run_seconds") or 0.0), 6),
+            )
+            return None
+
+        def dispatch(worker_id: str, session: Any, batch: List[int]) -> bool:
+            """Send one batch; ``False`` once this worker gets no more."""
+            body = {
+                "kind": JOB_KIND_SPEC,
+                "jobs": [spec_to_wire(specs[index]) for index in batch],
+                "epoch": self._epoch,
+                "leader": self.config.coordinator_id,
+            }
+            with self._lock:
+                self._sweep_dispatches += 1
+            self.obs.metrics.counter(METRIC_CLUSTER_SWEEP_DISPATCHES).inc()
+            started = self.clock()
+            try:
+                status, reply = session.post(
+                    "/run", body, self.config.request_timeout_s * len(batch))
+            except TransportError as exc:
+                self.membership.mark_dead(
+                    worker_id, "sweep dispatch failed: %s" % exc
+                )
+                requeue(batch)
+                for index in batch:
+                    self._note_redispatch(worker_id, specs[index].label,
+                                          str(exc))
+                return False
+            # One limplock sample per job: the round trip split evenly.
+            per_job_s = (self.clock() - started) / len(batch)
+            for _ in batch:
+                self.membership.observe_run(worker_id, per_job_s)
+            if status == STATUS_STALE_EPOCH \
+                    and reply.get("reason") == REASON_STALE_EPOCH:
+                # Deposed mid-sweep: requeue the points (the new leader
+                # re-dispatches them with the same seeds) and stop
+                # driving this worker.
+                self._fence(int(reply.get("epoch") or 0),
+                            "sweep dispatch fenced by %s" % worker_id)
+                requeue(batch)
+                return False
+            if status == 503:
+                # Draining worker: hand its shard back for the ring
+                # successors (the checkpoint already holds everything
+                # it finished).
+                self.membership.decommission(worker_id, "worker draining")
+                requeue(batch)
+                for index in batch:
+                    self.obs.event(EVENT_SHARD_HANDOFF, worker=worker_id,
+                                   job=specs[index].label, kind="sweep")
+                return False
+            answers = reply.get("results")
+            if status != 200 or reply.get("status") != "ok" \
+                    or not isinstance(answers, list) \
+                    or len(answers) != len(batch):
+                message = str(reply.get("detail") or reply.get("reason")
+                              or "HTTP %d" % status)
+                with lock:
+                    for index in batch:
+                        errors[index] = message
+                return True
+            stale: List[int] = []
+            fenced_epoch = 0
+            for index, answer in zip(batch, answers):
+                epoch = settle(worker_id, index, answer)
+                if epoch is not None:
+                    stale.append(index)
+                    fenced_epoch = max(fenced_epoch, epoch)
+            if stale:
+                # The worker obeyed a newer leader part-way through the
+                # batch: what ran is recorded, the rest goes back.
+                self._fence(fenced_epoch,
+                            "sweep dispatch fenced by %s" % worker_id)
+                requeue(stale)
+                return False
+            return True
+
+        def run_for(worker_id: str, owners: Dict[int, Optional[str]],
+                    workers: int) -> None:
             url = self.membership.url_of(worker_id)
             if url is None:
                 return
-            while True:
-                with lock:
-                    if not pending:
+            session = self._open_session(url)
+            try:
+                while True:
+                    with lock:
+                        batch = take_batch(worker_id, owners, workers)
+                    if not batch or not dispatch(worker_id, session, batch):
                         return
-                    # Shard affinity first (keeps the worker's local
-                    # warm caches hot), then steal from slower shards.
-                    pick = None
-                    for index in pending:
-                        owner = self._ring_node_for(specs[index].label)
-                        if owner == worker_id:
-                            pick = index
-                            break
-                    if pick is None:
-                        pick = pending[0]
-                    pending.remove(pick)
-                spec = specs[pick]
-                body = {
-                    "kind": JOB_KIND_SPEC,
-                    "job": spec_to_wire(spec),
-                    "epoch": self._epoch,
-                    "leader": self.config.coordinator_id,
-                }
-                started = self.clock()
-                try:
-                    status, reply = self.transport(
-                        url, "/run", body, self.config.request_timeout_s
-                    )
-                except TransportError as exc:
-                    self.membership.mark_dead(
-                        worker_id, "sweep dispatch failed: %s" % exc
-                    )
-                    with lock:
-                        pending.insert(0, pick)
-                    self._note_redispatch(worker_id, spec.label, str(exc))
-                    return
-                self.membership.observe_run(
-                    worker_id, self.clock() - started
-                )
-                if status == STATUS_STALE_EPOCH \
-                        and reply.get("reason") == REASON_STALE_EPOCH:
-                    # Deposed mid-sweep: requeue the point (the new
-                    # leader re-dispatches it with the same seed) and
-                    # stop driving this worker.
-                    self._fence(int(reply.get("epoch") or 0),
-                                "sweep dispatch fenced by %s" % worker_id)
-                    with lock:
-                        pending.insert(0, pick)
-                    return
-                if status == 503:
-                    # Draining worker: hand its shard back for the
-                    # ring successors (the checkpoint already holds
-                    # everything it finished).
-                    self.membership.decommission(
-                        worker_id, "worker draining"
-                    )
-                    with lock:
-                        pending.insert(0, pick)
-                    self.obs.event(EVENT_SHARD_HANDOFF, worker=worker_id,
-                                   job=spec.label, kind="sweep")
-                    return
-                if status != 200 or reply.get("status") != "ok":
-                    with lock:
-                        errors[pick] = str(
-                            reply.get("detail") or reply.get("reason")
-                            or "HTTP %d" % status
-                        )
-                    continue
-                result = reply.get("result") or {}
-                payload = (result.get("payload")
-                           if result.get("type") == "design_point"
-                           else None)
-                if not isinstance(payload, dict):
-                    with lock:
-                        errors[pick] = (
-                            "worker %s returned a non-design-point result"
-                            % worker_id
-                        )
-                    continue
-                with lock:
-                    results[pick] = payload
-                    workers_used[worker_id] = (
-                        workers_used.get(worker_id, 0) + 1
-                    )
-                    record(spec.label, payload)
-                with self._lock:
-                    self._sweep_points += 1
-                self.obs.event(
-                    EVENT_SWEEP_STEP, label=spec.label, worker=worker_id,
-                    run_seconds=round(
-                        float(reply.get("run_seconds") or 0.0), 6
-                    ),
-                )
+            finally:
+                session.close()
 
         # Dispatch rounds: one thread per routable worker; a thread
-        # exits when its worker dies/drains (job re-queued) or no work
+        # exits when its worker dies/drains (jobs re-queued) or no work
         # is left.  Each round re-reads membership, so workers that
         # register mid-sweep join and dead ones drop out.
         while True:
@@ -1136,8 +1215,12 @@ class ClusterCoordinator:
             routable = self.membership.routable()
             if not routable:
                 break
+            with self._ring_lock:
+                owners = {index: self.ring.node_for(specs[index].label)
+                          for index in pending}
             threads = [
-                threading.Thread(target=run_for, args=(worker_id,),
+                threading.Thread(target=run_for,
+                                 args=(worker_id, owners, len(routable)),
                                  name="cluster-sweep-%s" % worker_id,
                                  daemon=True)
                 for worker_id in routable
@@ -1305,6 +1388,7 @@ class ClusterCoordinator:
                 "quarantines": self._quarantines,
                 "sweeps": self._sweeps,
                 "sweep_points_completed": self._sweep_points,
+                "sweep_dispatches": self._sweep_dispatches,
             }
 
     def stats_snapshot(self) -> Dict[str, Any]:

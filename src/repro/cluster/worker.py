@@ -22,6 +22,9 @@ worker adds exactly three things:
   worker's shard onto its ring successors (the checkpoint-backed shard
   handoff described in docs/cluster.md).
 
+Sweep points arrive in batches (one ``/run`` with several ``jobs``);
+each job is still fenced, delayed, executed and counted on its own.
+
 ``--limp-s`` injects an artificial per-job *and* per-heartbeat delay —
 the fault hook the limplock tests and the cluster smoke script use to
 manufacture an alive-but-slow node.
@@ -294,7 +297,12 @@ class ClusterWorker:
     # -- job execution ---------------------------------------------------
 
     def handle_run(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Execute one wire job; returns ``(status, response_body)``."""
+        """Execute one wire request; returns ``(status, response_body)``.
+
+        An ``estimate`` request is one job.  A ``spec`` request carries
+        a batch under ``jobs``: they run in order on one slot, and the
+        answer holds one result per job (:meth:`_run_specs`).
+        """
         if self.drain.draining:
             return 503, {
                 "status": "rejected",
@@ -307,6 +315,10 @@ class ClusterWorker:
                 "status": "error",
                 "reason": "unknown job kind %r" % kind,
             }
+        jobs = body.get("jobs")
+        if kind == JOB_KIND_SPEC and (not isinstance(jobs, list) or not jobs):
+            return 400, {"status": "error",
+                         "reason": "'jobs' must be a non-empty list"}
         epoch = int(body.get("epoch") or 0)
         if epoch:  # absent/0 = HA disabled; nothing to fence against
             with self._lock:
@@ -332,34 +344,73 @@ class ClusterWorker:
         with self._lock:
             self._in_flight += 1
         try:
-            if self.config.limp_s > 0:
-                time.sleep(self.config.limp_s)
             if kind == JOB_KIND_SPEC:
-                status, reply = self._run_spec(body)
+                status, reply = 200, {
+                    "status": "ok",
+                    "kind": JOB_KIND_SPEC,
+                    "results": self._run_specs(jobs, epoch),
+                }
             else:
+                self._limp()
                 status, reply = self._run_estimate(body)
+                self._count_job(status, reply.get("run_seconds"))
         finally:
             with self._lock:
                 self._in_flight -= 1
             self._slots.release()
+        reply.setdefault("worker", self.config.worker_id)
+        return status, reply
+
+    def _limp(self) -> None:
+        if self.config.limp_s > 0:
+            time.sleep(self.config.limp_s)
+
+    def _count_job(self, status: int, run_s: Any) -> None:
         with self._lock:
             if status == 200:
                 self._completed += 1
-                run_s = float(reply.get("run_seconds", 0.0))
+                run_s = float(run_s or 0.0)
                 self._mean_run_s = (
                     run_s if self._completed == 1
                     else 0.8 * self._mean_run_s + 0.2 * run_s
                 )
             else:
                 self._failed += 1
-        reply.setdefault("worker", self.config.worker_id)
-        return status, reply
 
-    def _run_spec(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+    def _run_specs(self, jobs: List[Any],
+                   epoch: int) -> List[Dict[str, Any]]:
+        """Run a batch of wire specs in order, one result per job.
+
+        The fencing epoch is checked again before every job: once a
+        newer leader has been obeyed, the rest of the batch comes back
+        unrun as ``stale-epoch``.
+        """
+        results = []
+        for job in jobs:
+            with self._lock:
+                stale = bool(epoch) and epoch < self.epoch
+                current = self.epoch
+            if stale:
+                results.append({
+                    "status": STATUS_STALE_EPOCH,
+                    "reason": REASON_STALE_EPOCH,
+                    "epoch": current,
+                    "label": (job.get("label")
+                              if isinstance(job, dict) else None),
+                })
+                continue
+            self._limp()
+            result = self._run_spec(job)
+            self._count_job(result["status"], result.get("run_seconds"))
+            results.append(result)
+        return results
+
+    def _run_spec(self, job: Any) -> Dict[str, Any]:
+        """Run one wire spec; the result carries an HTTP-style ``status``."""
         try:
-            spec = spec_from_wire(body.get("job"))
+            spec = spec_from_wire(job)
         except JobError as exc:
-            return 400, {"status": "error", "reason": str(exc)}
+            return {"status": 400, "reason": str(exc)}
         warm_key = ""
         if self.config.warm_tier and spec.payload.get("warm_start"):
             warm_key = str(spec.payload.get("warm_key") or "")
@@ -368,8 +419,8 @@ class ClusterWorker:
         try:
             value, seconds, _, _ = execute_spec(spec)
         except Exception as exc:  # noqa: BLE001 - job failure is data
-            return 500, {
-                "status": "error",
+            return {
+                "status": 500,
                 "reason": "job_failed",
                 "label": spec.label,
                 "detail": "%s: %s" % (type(exc).__name__, exc),
@@ -378,15 +429,14 @@ class ClusterWorker:
             self._push_warm_tier(warm_key)
         result = self._serialize_value(value)
         if result is None:
-            return 500, {
-                "status": "error",
+            return {
+                "status": 500,
                 "reason": "unserializable_result",
                 "label": spec.label,
                 "detail": "job returned %r" % type(value).__name__,
             }
-        return 200, {
-            "status": "ok",
-            "kind": JOB_KIND_SPEC,
+        return {
+            "status": 200,
             "label": spec.label,
             "run_seconds": seconds,
             "result": result,

@@ -5,14 +5,30 @@ codegen, ISS decode, and the HW and ISS run memos) all use it.
 ``repro serve`` runs estimates on several threads of one process, so
 another thread may evict a key between the lookup and the LRU touch of
 a hit; the hit path tolerates that instead of raising ``KeyError``.
+Every cache registers itself, so :func:`clear_process_caches` empties
+them all without a list to keep in step with the code.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Dict, Generic, Hashable, Optional, TypeVar
 
 V = TypeVar("V")
+
+#: Every live :class:`LruCache`; see :func:`clear_process_caches`.
+_PROCESS_CACHES: "weakref.WeakSet[LruCache]" = weakref.WeakSet()
+
+
+def clear_process_caches() -> None:
+    """Empty every live :class:`LruCache` and reset its stats.
+
+    Running this before a measurement or a design point emulates a cold
+    process; the per-cache ``clear_*`` functions empty one cache each.
+    """
+    for cache in list(_PROCESS_CACHES):
+        cache.clear()
 
 
 class CacheStats:
@@ -37,6 +53,7 @@ class LruCache(Generic[V]):
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
+        _PROCESS_CACHES.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)

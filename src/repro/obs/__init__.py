@@ -137,6 +137,8 @@ HELP_TEXT: Dict[str, str] = {
         "Jobs re-dispatched away from dead or quarantined workers",
     names.METRIC_CLUSTER_QUARANTINES:
         "Workers quarantined by the limplock detector",
+    names.METRIC_CLUSTER_SWEEP_DISPATCHES:
+        "Sweep /run requests sent to workers (each a batch of points)",
     names.METRIC_CLUSTER_FAILOVERS:
         "Leadership takeovers completed by this coordinator",
     names.METRIC_CLUSTER_EPOCH:

@@ -60,6 +60,7 @@ __all__ = [
     "METRIC_CLUSTER_JOURNAL_ENTRIES",
     "METRIC_CLUSTER_REPLAY_SECONDS",
     "METRIC_CLUSTER_STALE_EPOCH",
+    "METRIC_CLUSTER_SWEEP_DISPATCHES",
     "EVENT_WORKER_REGISTERED",
     "EVENT_WORKER_STATE",
     "EVENT_WORKER_QUARANTINED",
@@ -162,6 +163,10 @@ METRIC_CLUSTER_REDISPATCHES = "cluster.redispatches"
 
 #: Workers quarantined by the limplock detector (counter).
 METRIC_CLUSTER_QUARANTINES = "cluster.limplock_quarantines"
+
+#: ``/run`` requests sweeps sent to workers, each carrying a batch of
+#: points (counter).
+METRIC_CLUSTER_SWEEP_DISPATCHES = "cluster.sweep_dispatches"
 
 # -- coordinator high availability (docs/cluster-ha.md) -----------------
 

@@ -119,11 +119,13 @@ class HaHarness:
         worker = self.workers[worker_id]
         if path == "/run":
             status, reply = worker.handle_run(body)
-            job = body.get("job") or {}
             if body.get("kind") == "spec":
-                self.dispatch_log.append(
-                    (job.get("label"), job.get("seed"), status)
-                )
+                answers = reply.get("results") or [{}] * len(body["jobs"])
+                for job, answer in zip(body["jobs"], answers):
+                    self.dispatch_log.append(
+                        (job.get("label"), job.get("seed"),
+                         answer.get("status", status))
+                    )
             return status, reply
         if path == "/decommission":
             return 200, worker.decommission(

@@ -28,12 +28,12 @@ def make_worker(**kwargs):
 def spec_body(epoch=0, leader=""):
     body = {
         "kind": JOB_KIND_SPEC,
-        "job": {
+        "jobs": [{
             "fn": "repro.parallel.runners:run_noop",
             "payload": {},
             "label": "probe",
             "seed": 1,
-        },
+        }],
     }
     if epoch:
         body["epoch"] = epoch

@@ -370,3 +370,32 @@ class TestSgraphCompileCache:
         assert errors == []
         assert SGRAPH_COMPILE_CACHE_STATS.evictions > 0
         assert len(sgraph._COMPILE_CACHE) <= 2
+
+
+class TestProcessCacheRegistry:
+    def test_every_module_level_cache_is_registered_and_cleared(self):
+        """``repro.lru.clear_process_caches`` reaches every module cache."""
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro import lru
+
+        caches = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name == "repro.__main__":
+                continue
+            module = importlib.import_module(info.name)
+            for name, value in vars(module).items():
+                if isinstance(value, lru.LruCache):
+                    caches["%s.%s" % (info.name, name)] = value
+        assert "repro.sw.iss._MODEL_TOKENS" in caches
+        for name, cache in caches.items():
+            assert cache in lru._PROCESS_CACHES, name
+            cache.put(("registry-probe", name), 0)
+            cache.get(("registry-probe", name))
+        lru.clear_process_caches()
+        for name, cache in caches.items():
+            assert len(cache) == 0, name
+            assert cache.stats.snapshot() == {
+                "hits": 0, "misses": 0, "evictions": 0}, name
