@@ -32,6 +32,9 @@ DMA_SIZES = (2, 4, 8, 16, 32, 64, 128)
 NUM_PACKETS = 3
 PACKET_PERIOD_NS = 30_000.0
 
+#: The paper's reported minimum: (DMA size, priority label).
+PAPER_MINIMUM = (128, "create_pack > ip_check > checksum")
+
 
 def run_experiment(emulate_seed_baseline=False):
     bundle = tcpip.build_system(
@@ -87,15 +90,20 @@ def test_fig7_design_space_exploration(benchmark, capsys):
         "(%d packets)" % NUM_PACKETS,
     )
 
+    # Several points can reach exactly the minimum energy (once the
+    # masters stop contending, priorities no longer matter), so the
+    # minimum is reported as the set of every point that reaches it;
+    # ``minimum_energy_point`` only picks one of them.
     best = DesignSpaceExplorer.minimum_energy_point(points)
-    summary = (
-        "\nminimum-energy point: DMA=%d, priorities: %s (%.3f uJ)\n"
-        "paper's minimum:      DMA=128, priorities: create_pack > "
-        "ip_check > checksum" % (
-            best.dma_block_words, best.priority_label,
-            best.total_energy_j * 1e6,
-        )
-    )
+    tied = [(point.dma_block_words, point.priority_label)
+            for point in points
+            if point.total_energy_j == best.total_energy_j]
+    summary = "\nminimum energy %.3f uJ, reached exactly by %d point(s):\n" % (
+        best.total_energy_j * 1e6, len(tied))
+    summary += "".join("  DMA=%d, priorities: %s\n" % point
+                       for point in tied)
+    summary += "paper's minimum: DMA=%d, priorities: %s (%s the set)" % (
+        PAPER_MINIMUM + ("in" if PAPER_MINIMUM in tied else "NOT in",))
     emit(capsys, "\n" + table + summary)
     write_result("fig7_exploration", table + summary)
 
@@ -107,6 +115,7 @@ def test_fig7_design_space_exploration(benchmark, capsys):
         assert all(a >= b for a, b in zip(energies, energies[1:])), (
             label, energies)
     assert best.dma_block_words == 128
+    assert PAPER_MINIMUM in tied
 
     # Priorities matter: at the smallest DMA size the spread across
     # assignments is non-zero (the masters contend for the bus).

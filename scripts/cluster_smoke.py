@@ -175,8 +175,9 @@ def main():
     #    heartbeat age, so the liveness thresholds can stay lax enough
     #    for the limping worker's slowed heartbeats (limp_s delays
     #    those too).  limp_min_samples=1 lets one observed 2s job
-    #    convict the limper; the healthy workers sit near each other's
-    #    median, far under the 6x factor.
+    #    convict the limper; limp_min_gap_s=0.5 keeps one cold first
+    #    run of a healthy worker (~0.2s against a peer median of
+    #    ~0.02s) from being convicted on that single sample.
     log_path = os.path.join(LOG_DIR, "coordinator.jsonl")
     log_handle = open(log_path, "w")
     coordinator = subprocess.Popen(
@@ -186,7 +187,7 @@ def main():
          "from repro.cluster.membership import MembershipConfig;"
          "cfg = ClusterConfig(membership=MembershipConfig("
          "suspect_after_s=4.0, dead_after_s=8.0, limp_factor=6.0,"
-         "limp_min_samples=1), log_json=True);"
+         "limp_min_samples=1, limp_min_gap_s=0.5), log_json=True);"
          "sys.exit(run_coordinator('127.0.0.1', 0, config=cfg))"],
         stdout=subprocess.PIPE, stderr=log_handle,
         env=dict(os.environ, PYTHONUNBUFFERED="1"), text=True,

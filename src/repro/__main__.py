@@ -15,9 +15,6 @@ Commands operate on the built-in example systems:
   docs/static-analysis.md); the exit code is 2 for errors, 1 for
   warnings, 0 otherwise.  ``--cost`` appends the static cost report
   (cycle/energy bounds, cache-table size, admission weight).
-* ``transvalidate`` — prove every optimizer rewrite rule equivalent
-  on its declared templates (exhaustive small-width, corner, and
-  random vectors); exit 1 if any rule is unsound or dead.
 * ``serve [--port N] [--workers N] [--queue-depth N]`` — run the
   long-lived co-estimation service (JSON over HTTP, bounded admission
   queue, circuit breakers, graceful SIGTERM drain; see
@@ -442,44 +439,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def cmd_transvalidate(args: argparse.Namespace) -> int:
-    """``repro transvalidate`` — prove the optimizer's rewrite rules."""
-    from repro.lint import check_rewrite_rules, render_sarif, validate_rules
-
-    report = validate_rules()
-    for result in report.results:
-        status = "SOUND" if result.sound else "UNSOUND"
-        if not result.exercised:
-            status = "DEAD"
-        print("%-28s %-8s %6d vector(s), %d/%d template(s) fired"
-              % (result.rule, status, result.vectors, result.fired,
-                 result.templates))
-        for counterexample in result.counterexamples:
-            print("    counterexample: %s" % counterexample.render())
-        for crash in result.crashes:
-            print("    crash: %s" % crash)
-    print("%d rule(s), %d vector(s): %s"
-          % (len(report.results), report.total_vectors,
-             "all sound and exercised"
-             if report.all_sound and report.all_exercised
-             else "UNSOUND OR DEAD RULES FOUND"))
-    diagnostics = check_rewrite_rules()
-    if args.output:
-        import json as _json
-
-        if args.format == "sarif":
-            atomic_write_text(args.output, render_sarif(
-                diagnostics, title="optimizer"))
-        else:
-            atomic_write_text(
-                args.output,
-                _json.dumps(report.to_payload(), indent=1, sort_keys=True)
-                + "\n",
-            )
-        print("wrote %s" % args.output)
-    return 0 if not diagnostics else 1
-
-
 def cmd_characterize(args: argparse.Namespace) -> int:
     characterizer = MacroModelCharacterizer()
     parameter_file = characterizer.characterize()
@@ -714,17 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--cost-output", metavar="PATH",
                       help="write the cost report as JSON to PATH")
     lint.set_defaults(func=cmd_lint)
-
-    transvalidate = commands.add_parser(
-        "transvalidate",
-        help="prove the optimizer's rewrite rules sound (TV6xx)",
-    )
-    transvalidate.add_argument("--format", default="json",
-                               choices=["json", "sarif"],
-                               help="--output format (default: json)")
-    transvalidate.add_argument("--output", metavar="PATH",
-                               help="write the validation report to PATH")
-    transvalidate.set_defaults(func=cmd_transvalidate)
 
     characterize = commands.add_parser(
         "characterize", help="build the SW macro-model parameter file"

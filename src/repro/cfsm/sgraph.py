@@ -316,11 +316,6 @@ _COMPILE_CACHE: LruCache[Callable] = LruCache(capacity=512)
 SGRAPH_COMPILE_CACHE_STATS = _COMPILE_CACHE.stats
 
 
-def clear_sgraph_compile_cache() -> None:
-    """Drop all compiled transition bodies (tests and benchmarks)."""
-    _COMPILE_CACHE.clear()
-
-
 #: Comparisons; an ``If`` tests them without building the 0/1 value.
 _COMPARISONS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 

@@ -15,8 +15,6 @@ Layers:
 * :mod:`repro.lint.absint` — abstract interpretation engine (bit-level
   netlist fixpoint, expression intervals, sound energy bounds);
 * :mod:`repro.lint.dataflow_rules` — DF5xx dataflow diagnostics;
-* :mod:`repro.lint.transvalidate` — TV6xx translation validation of
-  the optimizer's rewrite-rule registry;
 * :mod:`repro.lint.cost` — per-system static :class:`CostReport`
   (cycle, energy, and cache-table bounds) consumed by the service's
   cost-aware admission control;
@@ -57,11 +55,6 @@ from repro.lint.emitters import (
 from repro.lint.cost import CostReport, compute_cost_report
 from repro.lint.passes import PASSES, LintPass, LintResult, run_lint
 from repro.lint.paths import CacheabilityReport, cacheability_report
-from repro.lint.transvalidate import (
-    ValidationReport,
-    check_rewrite_rules,
-    validate_rules,
-)
 
 __all__ = [
     "Baseline",
@@ -78,11 +71,9 @@ __all__ = [
     "RULES",
     "Rule",
     "Severity",
-    "ValidationReport",
     "abstract_eval",
     "abstract_netlist_values",
     "cacheability_report",
-    "check_rewrite_rules",
     "compute_cost_report",
     "compute_var_intervals",
     "exit_code",
@@ -96,6 +87,5 @@ __all__ = [
     "run_lint",
     "sarif_report",
     "sort_diagnostics",
-    "validate_rules",
     "write_baseline",
 ]

@@ -164,9 +164,10 @@ def _rules(entries: List[Rule]) -> Mapping[str, Rule]:
     return table
 
 
-#: The rule catalog.  Codes are append-only: removing or renumbering a
-#: code breaks checked-in baselines, so retired rules keep their row
-#: (documented as retired) and new rules take fresh numbers.
+#: The rule catalog.  Codes are append-only: renumbering or reusing a
+#: code breaks checked-in baselines, so new rules take fresh numbers and
+#: a retired rule's number stays taken (the TV6xx translation-validation
+#: rules retired with the s-graph optimizer).
 RULES: Mapping[str, Rule] = _rules([
     # -- per-CFSM structural checks (the historical validate.py set) --
     Rule("CFSM001", "duplicate-transition-name", Severity.ERROR,
@@ -317,19 +318,6 @@ RULES: Mapping[str, Rule] = _rules([
          "Interval analysis pins this branch condition's outcome, so "
          "one arm is unreachable beyond what the syntactic SG203 "
          "check can see."),
-    # -- optimizer translation validation --
-    Rule("TV601", "unsound-rewrite-rule", Severity.ERROR,
-         "A registered optimizer rewrite changed the meaning of a "
-         "template expression: optimized designs silently diverge "
-         "from their source semantics."),
-    Rule("TV602", "unexercised-rewrite-rule", Severity.WARNING,
-         "A registered rewrite rule fired on none of its declared "
-         "templates; unexercised rules rot into unsound ones "
-         "unnoticed."),
-    Rule("TV603", "rewrite-validation-crash", Severity.ERROR,
-         "A rewrite rule (or its rewritten expression) raised during "
-         "validation; the optimizer would crash on designs matching "
-         "the template."),
 ])
 
 

@@ -100,10 +100,10 @@ def _logical_locations(diagnostic: Diagnostic) -> List[Dict[str, Any]]:
     """SARIF logical locations for one finding.
 
     The fully qualified design path always comes first.  Findings
-    anchored at a sub-expression (dataflow DF5xx, translation
-    validation TV6xx) additionally carry the expression itself as a
-    child logical location of kind ``expression`` so SARIF viewers can
-    render the hierarchy instead of a flat string.
+    anchored at a sub-expression (dataflow DF5xx) additionally carry
+    the expression itself as a child logical location of kind
+    ``expression`` so SARIF viewers can render the hierarchy instead of
+    a flat string.
     """
     locations: List[Dict[str, Any]] = [
         {"fullyQualifiedName": diagnostic.location.qualified_name()}

@@ -43,16 +43,6 @@ class TestParser:
         assert args.cost_output == "cost.json"
         assert not build_parser().parse_args(["lint", "fig1"]).cost
 
-    def test_transvalidate_flags(self):
-        args = build_parser().parse_args(["transvalidate"])
-        assert args.format == "json"
-        assert args.output is None
-        sarif = build_parser().parse_args(
-            ["transvalidate", "--format", "sarif", "--output", "tv.sarif"])
-        assert sarif.format == "sarif"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["transvalidate", "--format", "xml"])
-
 
 class TestLintCommand:
     def test_text_report_and_exit_code(self, capsys):
@@ -178,38 +168,6 @@ class TestPreflight:
         assert main(["estimate", "fig1", "--strategy", "macromodel",
                      "--no-preflight"]) == 0
         assert "pre-flight" not in capsys.readouterr().out
-
-
-class TestTransvalidateCommand:
-    def test_registry_proves_sound_and_exits_zero(self, capsys):
-        assert main(["transvalidate"]) == 0
-        out = capsys.readouterr().out
-        assert "all sound and exercised" in out
-        assert "UNSOUND" not in out
-        assert "DEAD" not in out
-        # One status line per registered rule, each with its vectors.
-        assert out.count("SOUND") == out.count("vector(s), ")
-
-    def test_json_output(self, tmp_path, capsys):
-        path = os.path.join(str(tmp_path), "tv.json")
-        assert main(["transvalidate", "--output", path]) == 0
-        assert "wrote %s" % path in capsys.readouterr().out
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert payload["all_sound"] is True
-        assert payload["all_exercised"] is True
-        assert payload["total_vectors"] >= 5000
-
-    def test_sarif_output(self, tmp_path, capsys):
-        path = os.path.join(str(tmp_path), "tv.sarif")
-        assert main(["transvalidate", "--format", "sarif",
-                     "--output", path]) == 0
-        with open(path) as handle:
-            log = json.load(handle)
-        assert log["version"] == "2.1.0"
-        # A sound registry yields an empty result set — the SARIF file
-        # is the CI artifact proving the check ran and found nothing.
-        assert log["runs"][0]["results"] == []
 
 
 class TestServicePreflight:

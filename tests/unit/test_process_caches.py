@@ -13,13 +13,13 @@ import threading
 
 import pytest
 
+from repro import lru
 from repro.cfsm import sgraph
 from repro.cfsm.expr import add, const, gt, var
 from repro.cfsm.sgraph import (
     SGRAPH_COMPILE_CACHE_STATS,
     SGraph,
     assign,
-    clear_sgraph_compile_cache,
     compiled_body,
     emit,
     if_,
@@ -33,18 +33,15 @@ from repro.hw.estimator import (
     HW_RUN_MEMO_STATS,
     HardwarePowerSimulator,
     _HW_RUN_MEMO,
-    clear_hw_run_memo,
 )
-from repro.hw.logicsim import COMPILE_CACHE_STATS, CompiledSimulator, clear_compile_cache
+from repro.hw.logicsim import COMPILE_CACHE_STATS, CompiledSimulator
 from repro.hw.netlist import Gate, Netlist, NetlistBuilder
-from repro.hw.synth import SYNTH_CACHE_STATS, clear_synth_cache
+from repro.hw.synth import SYNTH_CACHE_STATS
 from repro.master import MasterConfig, SimulationMaster
-from repro.sw.codegen import CODEGEN_CACHE_STATS, clear_codegen_cache
+from repro.sw.codegen import CODEGEN_CACHE_STATS
 from repro.sw.iss import (
     DECODE_CACHE_STATS,
     ISS_RUN_MEMO_STATS,
-    clear_decode_cache,
-    clear_iss_run_memo,
 )
 from repro.systems import tcpip
 from repro.telemetry import Telemetry
@@ -66,16 +63,6 @@ COUNTER_NAMES = {
     "hw_run_memo": "hw.run_memo",
     "iss_run_memo": "iss.run_memo",
 }
-
-
-def _clear_all():
-    clear_compile_cache()
-    clear_synth_cache()
-    clear_codegen_cache()
-    clear_decode_cache()
-    clear_hw_run_memo()
-    clear_iss_run_memo()
-    clear_sgraph_compile_cache()
 
 
 def _run(telemetry=None):
@@ -101,7 +88,7 @@ def _canonical(report):
 
 class TestColdWarm:
     def test_warm_run_hits_every_cache_and_replays_exactly(self):
-        _clear_all()
+        lru.clear_process_caches()
         cold_report = _run()
         cold = {name: s.snapshot() for name, s in ALL_STATS.items()}
         for name, snapshot in cold.items():
@@ -122,9 +109,9 @@ class TestColdWarm:
             assert counters.get(prefix + ".hits", 0) > 0, name
 
     def test_clear_resets_stats_and_forces_misses(self):
-        _clear_all()
+        lru.clear_process_caches()
         _run()
-        _clear_all()
+        lru.clear_process_caches()
         for name, stats in ALL_STATS.items():
             snapshot = stats.snapshot()
             assert snapshot["hits"] == 0, name
@@ -191,7 +178,7 @@ class TestWarmStartCache:
 
 class TestRunMemoExactness:
     def test_memoized_reruns_are_bit_identical(self):
-        _clear_all()
+        lru.clear_process_caches()
         first = _run()
         replayed = _run()
         assert HW_RUN_MEMO_STATS.hits > 0
@@ -200,7 +187,7 @@ class TestRunMemoExactness:
         assert replayed.total_energy_j == first.total_energy_j
 
     def test_replayed_run_restores_net_values_as_a_list(self):
-        _clear_all()
+        lru.clear_process_caches()
         bundle = tcpip.build_system(dma_block_words=8, num_packets=1)
         cfsm = bundle.network.cfsms["checksum"]
         first = HardwarePowerSimulator(cfsm)
@@ -225,7 +212,7 @@ class TestNetlistKeyedOnce:
         matches its content key by identity: no gate is hashed or
         compared and no netlist is checked again.
         """
-        _clear_all()
+        lru.clear_process_caches()
 
         def network():
             return tcpip.build_system(dma_block_words=8, num_packets=1).network
@@ -270,7 +257,7 @@ class TestConcurrentEviction:
         at least one thread on most runs; the race is probabilistic, so an
         unfixed cache can also pass this test by luck.
         """
-        _clear_all()
+        lru.clear_process_caches()
         monkeypatch.setattr(logicsim._COMPILE_CACHE, "capacity", 2)
         netlists = [_one_gate_netlist(cell)
                     for cell in ("AND2", "OR2", "XOR2", "NAND2")]
@@ -306,7 +293,7 @@ def _bodies(network):
 
 class TestSgraphCompileCache:
     def test_separately_built_systems_share_compiled_bodies(self):
-        _clear_all()
+        lru.clear_process_caches()
         first = tcpip.build_system(dma_block_words=8, num_packets=1)
         PowerCoEstimator(first.network, first.config).estimate(
             first.stimuli(), strategy="caching",
@@ -331,7 +318,7 @@ class TestSgraphCompileCache:
         lambda inner: [loop(const(2), [assign("b", add(var("b"), inner))])],
     ])
     def test_bodies_differing_inside_nested_blocks_do_not_share(self, make):
-        _clear_all()
+        lru.clear_process_caches()
         one, two = SGraph(make(const(1))), SGraph(make(const(2)))
         env = {"a": 1, "b": 0}
         assert one.execute(dict(env)) != two.execute(dict(env))
@@ -340,7 +327,7 @@ class TestSgraphCompileCache:
 
     def test_bounded_under_concurrent_eviction(self, monkeypatch):
         """Three threads share a two-entry cache over four bodies."""
-        _clear_all()
+        lru.clear_process_caches()
         monkeypatch.setattr(sgraph._COMPILE_CACHE, "capacity", 2)
         bodies = [[assign("a", add(var("a"), const(step)))] for step in range(4)]
         errors = []
@@ -379,7 +366,6 @@ class TestProcessCacheRegistry:
         import pkgutil
 
         import repro
-        from repro import lru
 
         caches = {}
         for info in pkgutil.walk_packages(repro.__path__, "repro."):
