@@ -7,8 +7,9 @@ deployment would experience it:
 1. a single-node ``repro explore`` produces the baseline sweep summary;
 2. a coordinator plus three worker processes come up; readiness is
    gated on polling /readyz until all three workers are live;
-3. a fig.7 sweep is submitted; once /stats shows points completing,
-   one worker is SIGKILLed mid-sweep — no drain, no goodbye;
+3. a fig.7 sweep is submitted; once one worker's own /healthz shows a
+   sweep point in flight, it is SIGKILLed mid-job — no drain, no
+   goodbye;
 4. the sweep must still finish: the dead worker's jobs re-dispatch to
    the survivors and the summary rows are **byte-identical** to the
    single-node baseline (deterministic per-job seeds make a re-run an
@@ -201,7 +202,7 @@ def main():
 
         for worker_id in ("w0", "w1", "w2"):
             workers[worker_id] = spawn_worker(port, worker_id)
-        wait_readyz(
+        ready = wait_readyz(
             port,
             lambda body: sorted(body.get("routable", [])) ==
             ["w0", "w1", "w2"],
@@ -209,9 +210,11 @@ def main():
         )
         print("membership OK: w0 w1 w2 live and routable")
 
-        # 3. Sweep in a background thread; SIGKILL one worker once
-        #    /stats proves points are completing (mid-sweep, not
-        #    before it started and not after it finished).
+        # 3. Sweep in a background thread; SIGKILL one worker once its
+        #    own /healthz shows a sweep point in flight (mid-job, so the
+        #    coordinator must re-dispatch it).
+        victim = "w1"
+        victim_port = int(ready["workers"][victim]["url"].rsplit(":", 1)[1])
         sweep_result = {}
 
         def run_sweep():
@@ -223,22 +226,21 @@ def main():
         sweep_thread.start()
         deadline = time.time() + 120
         while time.time() < deadline:
-            _, stats = get(port, "/stats")
-            done = stats["cluster"]["sweep_points_completed"]
-            if done >= 2:
+            _, health = get(victim_port, "/healthz")
+            if health.get("in_flight", 0) >= 1:
                 break
             if "reply" in sweep_result:
                 fail("sweep finished before the kill could land "
                      "(completed too fast to observe)")
-            time.sleep(0.1)
+            time.sleep(0.02)
         else:
-            fail("no sweep points completed within 120s")
+            fail("%s had no sweep point in flight within 120s" % victim)
 
-        victim = "w1"
         workers[victim].send_signal(signal.SIGKILL)
         workers[victim].wait()
-        print("killed %s mid-sweep (%d point(s) were done)"
-              % (victim, done))
+        _, stats = get(port, "/stats")
+        print("killed %s mid-job (%d point(s) were done)"
+              % (victim, stats["cluster"]["sweep_points_completed"]))
 
         sweep_thread.join(600)
         if "reply" not in sweep_result:

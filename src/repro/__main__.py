@@ -807,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="leadership lease TTL; a dead leader is "
                               "succeeded within this long (default: 3.0)")
     cluster.add_argument("--flight-dump-dir", default=None, metavar="DIR",
-                         help="write flight-recorder dumps here on "
-                              "takeover/deposition")
+                         help="write flight-recorder dumps here on 5xx "
+                              "answers and takeover/deposition")
     cluster.add_argument("--log-json", action="store_true",
                          help="emit one JSON log line per cluster event "
                               "(registrations, state changes, "

@@ -49,15 +49,15 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs import Observability, labeled
-from repro.obs.context import use_context
-from repro.obs.logging import JsonLogger, NULL_LOGGER
+from repro.obs import labeled
+from repro.obs.logging import JsonLogger
 from repro.obs.names import (
-    EVENT_COALESCED,
+    EVENT_FAILED,
     EVENT_JOB_REDISPATCHED,
     EVENT_JOURNAL_REPLAYED,
     EVENT_LEADER_DEPOSED,
@@ -130,16 +130,15 @@ from repro.parallel.jobs import spec_to_wire
 from repro.resilience.checkpoint import CheckpointError
 from repro.resilience.supervisor import retry_backoff_s
 from repro.service.api import BadRequest, EstimateRequest
-from repro.service.dedup import InflightTable
-from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
-from repro.service.lifecycle import DrainController, serve_until_drained
-from repro.service.server import (
-    PendingResult,
+from repro.service.frontend import (
+    Entry,
+    FrontendHandler,
+    FrontendHTTPServer,
+    RequestFrontend,
     ServiceRejected,
-    _Entry,
-    answer_estimate,
 )
-from repro.systems import build_bundle, tcpip
+from repro.service.lifecycle import serve_until_drained
+from repro.systems import tcpip
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -216,7 +215,8 @@ class ClusterConfig:
     #: gives the original client time to resubmit with ``resume``.
     orphan_grace_s: float = 5.0
     recover_orphan_sweeps: bool = True
-    #: Flight-recorder dumps land here on takeover/deposition.
+    #: Flight-recorder dumps land here on 5xx answers (but 503) and on
+    #: takeover/deposition.
     flight_dump_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -280,14 +280,17 @@ class _SweepPlan:
         }
 
 
-class ClusterCoordinator:
-    """Membership + routing + re-dispatch + shard handoff, HTTP-agnostic.
+class ClusterCoordinator(RequestFrontend):
+    """The cluster backend: membership + routing + re-dispatch + shard
+    handoff, HTTP-agnostic.
 
     ``transport(url, path, body, timeout_s) -> (status, body)`` is
     injectable (tests drive the failure machinery with fakes); the
     default is the stdlib JSON client, which raises
     :class:`~repro.cluster.protocol.TransportError` on socket failures.
     """
+
+    COMPONENT = "coordinator"
 
     def __init__(
         self,
@@ -299,32 +302,20 @@ class ClusterCoordinator:
         wall_clock: Callable[[], float] = time.time,
     ) -> None:
         self.config = config or ClusterConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.clock = clock
+        super().__init__(telemetry, clock, logger,
+                         flight_dump_dir=self.config.flight_dump_dir)
         self.transport = transport if transport is not None else post_json
         # A sweep dispatch thread holds one session per round: a
         # keep-alive connection, or an injected transport per exchange.
         self._open_session: Callable[[str], Any] = (
             JsonSession if transport is None
             else partial(_TransportSession, transport))
-        if logger is None:
-            logger = (JsonLogger(component="coordinator")
-                      if self.config.log_json else NULL_LOGGER)
-        self.obs = Observability(
-            metrics=self.telemetry.metrics, logger=logger
-        )
         self.membership = MembershipTable(
             self.config.membership, clock=clock,
             on_transition=self._on_transition,
         )
         self._ring_lock = threading.Lock()
         self.ring = HashRing(self.config.ring_replicas)
-        self.dedup = InflightTable()
-        self.drain_controller = DrainController()
-        self._lock = threading.Lock()
-        self._completed = 0
-        self._failed = 0
-        self._coalesced = 0
         self._redispatches = 0
         self._quarantines = 0
         self._sweeps = 0
@@ -349,8 +340,6 @@ class ClusterCoordinator:
         self._completed_sweeps: set = set()
         self._orphans: Dict[str, Dict[str, Any]] = {}
         if self.config.control_dir is not None:
-            if self.config.flight_dump_dir:
-                self.obs.flight_dump_dir = self.config.flight_dump_dir
             self.journal = ControlPlaneJournal(
                 os.path.join(self.config.control_dir,
                              "journal-%s" % self.config.coordinator_id),
@@ -827,68 +816,39 @@ class ClusterCoordinator:
 
     # -- estimates -------------------------------------------------------
 
-    def submit(self, request: EstimateRequest) -> Tuple[PendingResult, bool]:
-        """Route one estimate; returns ``(pending, coalesced)``.
-
-        The primary dispatches synchronously in the calling thread and
-        resolves the shared :class:`PendingResult`; identical in-flight
-        requests (same fingerprint) coalesce onto it without another
-        dispatch — and because the ring routes by the same fingerprint,
-        replicas of this coordinator behind one worker set would land
-        the duplicates on the same worker too.
-        """
+    def refuse(self, request: EstimateRequest) -> None:
         if self.drain_controller.draining:
             raise ServiceRejected("coordinator is draining", 503,
                                   "draining")
         if self.ha_enabled and not self.is_leader:
             raise ServiceRejected("this coordinator is %s, not the leader"
                                   % self._role, 503, REASON_NOT_LEADER)
-        entry = _Entry.new(request, build_bundle(request.system),
-                           self.clock())
-        fingerprint, context = entry.fingerprint, entry.context
-        primary = self.dedup.admit(fingerprint, entry)
-        if primary is not entry:
-            with self._lock:
-                self._coalesced += 1
-            with use_context(context):
-                self.obs.event(
-                    EVENT_COALESCED,
-                    fingerprint=fingerprint,
-                    primary_trace_id=(
-                        primary.context.trace_id if primary.context else ""
-                    ),
-                )
-            return primary.pending, True
-        try:
-            with use_context(context):
-                self._dispatch_estimate(entry)
-        finally:
-            self.dedup.complete(fingerprint)
-        return entry.pending, False
 
-    def _dispatch_estimate(self, entry: _Entry) -> None:
+    def start_entry(self, entry: Entry) -> None:
+        """Dispatch a primary inline on the handler thread.  The ring
+        routes by fingerprint, so replicas of this coordinator would
+        land identical requests on the same worker too."""
+        try:
+            self._dispatch_estimate(entry)
+        finally:
+            self.dedup.complete(entry.fingerprint)
+
+    def _dispatch_estimate(self, entry: Entry) -> None:
         request = entry.request
         wire = {
             "kind": JOB_KIND_ESTIMATE,
             "request": request.to_payload(),
-            "trace": (entry.context.to_payload()
-                      if entry.context is not None else None),
+            "trace": entry.context.to_payload(),
             "epoch": self._epoch,
             "leader": self.config.coordinator_id,
         }
         timeout_s = request.deadline_s + 5.0
         redispatches = 0
-
-        def reject(reason: str, **extra: Any) -> None:
-            self._resolve(entry, 503, dict(
-                status="rejected", reason=reason,
-                request_id=request.request_id, **extra))
-
         while True:
             target = next(iter(self._ring_preference(entry.fingerprint)),
                           None)
             if target is None:
-                reject("no_workers")
+                self.reject(entry, "no_workers")
                 return
             url = self.membership.url_of(target)
             if url is None:
@@ -907,27 +867,29 @@ class ClusterCoordinator:
                 redispatches += 1
                 self._note_redispatch(target, request.request_id, str(exc))
                 if redispatches > self.config.redispatch_budget:
-                    self._resolve(entry, 502, {
+                    self.resolve(entry, 502, {
                         "status": "error",
                         "reason": "redispatch_budget_exhausted",
                         "request_id": request.request_id,
                         "detail": "%d dispatch attempt(s) failed"
                                   % redispatches,
-                    })
+                    }, event=EVENT_FAILED, redispatches=redispatches)
                     return
                 time.sleep(retry_backoff_s(
                     "estimate:%s" % entry.fingerprint, redispatches,
                     self.config.backoff_base_s, self.config.backoff_cap_s,
                 ))
                 continue
-            self.membership.observe_run(target, self.clock() - started)
+            run_s = self.clock() - started
+            self.membership.observe_run(target, run_s)
             if status == STATUS_STALE_EPOCH \
                     and body.get("reason") == REASON_STALE_EPOCH:
                 # The worker obeys a newer leader: stand down, and send
                 # the client to the peer list instead of a stale answer.
                 self._fence(int(body.get("epoch") or 0),
                             "estimate dispatch fenced by %s" % target)
-                reject(REASON_NOT_LEADER, leader_url=self.leader_url_hint())
+                self.reject(entry, REASON_NOT_LEADER,
+                            leader_url=self.leader_url_hint())
                 return
             if status == 503 and body.get("reason") == "draining":
                 # The worker is decommissioning; its shard belongs to
@@ -938,7 +900,7 @@ class ClusterCoordinator:
                 self.obs.event(EVENT_SHARD_HANDOFF, worker=target,
                                job=request.request_id, kind="estimate")
                 if redispatches > self.config.redispatch_budget:
-                    reject("no_workers")
+                    self.reject(entry, "no_workers")
                     return
                 continue
             # The job ran — success or worker-side error, the answer
@@ -950,21 +912,8 @@ class ClusterCoordinator:
                 "worker": target,
                 "redispatches": redispatches,
             }
-            with self._lock:
-                if status == 200:
-                    self._completed += 1
-                else:
-                    self._failed += 1
-            self._resolve(entry, status, out)
+            self.finish(entry, status, out, run_s, worker=target)
             return
-
-    def _resolve(self, entry: _Entry, status: int,
-                 body: Dict[str, Any]) -> None:
-        headers = {}
-        if entry.context is not None:
-            headers["X-Trace-Id"] = entry.context.trace_id
-        entry.pending.resolve(status, body, headers)
-        self.obs.record_outcome(status, self.clock() - entry.admitted_at)
 
     def _note_redispatch(self, worker_id: str, job: str,
                          detail: str) -> None:
@@ -1383,7 +1332,7 @@ class ClusterCoordinator:
             return {
                 "completed": self._completed,
                 "failed": self._failed,
-                "coalesced": self._coalesced,
+                "coalesced": self.dedup.coalesced,
                 "redispatches": self._redispatches,
                 "quarantines": self._quarantines,
                 "sweeps": self._sweeps,
@@ -1391,11 +1340,16 @@ class ClusterCoordinator:
                 "sweep_dispatches": self._sweep_dispatches,
             }
 
-    def stats_snapshot(self) -> Dict[str, Any]:
-        self.publish_cluster_metrics()
-        counts: Dict[str, int] = {state: 0 for state in _ALL_STATES}
-        for state in self.membership.states().values():
-            counts[state] = counts.get(state, 0) + 1
+    def _workers_by_state(self) -> Dict[str, int]:
+        counts = dict.fromkeys(_ALL_STATES, 0)
+        counts.update(Counter(self.membership.states().values()))
+        return counts
+
+    def healthz_snapshot(self) -> Dict[str, Any]:
+        return dict(super().healthz_snapshot(), role="coordinator")
+
+    def backend_stats(self) -> Dict[str, Any]:
+        counts = self._workers_by_state()
         with self._cache_lock:
             cache_tier = {
                 key: {"entries": slot["entries"],
@@ -1412,18 +1366,14 @@ class ClusterCoordinator:
             ),
             "ha": self.ha_snapshot(),
             "workers": self.membership.snapshot(),
-            "dedup": self.dedup.snapshot(),
             "cache_tier": cache_tier,
-            "metrics": self.telemetry.metrics.snapshot(),
         }
 
-    def publish_cluster_metrics(self) -> None:
+    def refresh_gauges(self) -> None:
         """Refresh the cluster gauge families from membership."""
         self._publish_ha_metrics()
         metrics = self.obs.metrics
-        counts: Dict[str, int] = {state: 0 for state in _ALL_STATES}
-        for state in self.membership.states().values():
-            counts[state] = counts.get(state, 0) + 1
+        counts = self._workers_by_state()
         for state, count in counts.items():
             metrics.gauge(
                 labeled(METRIC_CLUSTER_WORKERS, state=state)
@@ -1438,44 +1388,26 @@ class ClusterCoordinator:
                 labeled(METRIC_CLUSTER_WORKER_QUEUE_DEPTH, worker=worker_id)
             ).set(float(info["queue_depth"]))
 
-    def metrics_exposition(self) -> str:
-        self.publish_cluster_metrics()
-        return self.obs.render_metrics()
-
 
 # ----------------------------------------------------------------------
 # HTTP layer
 # ----------------------------------------------------------------------
 
 
-class _CoordinatorHandler(JsonRequestHandler):
-    KNOWN_PATHS = (
-        "/estimate", "/sweep", "/healthz", "/readyz", "/stats", "/metrics",
-        "/cluster/register", "/cluster/heartbeat", "/cluster/cache",
-        "/cluster/decommission", "/cluster/journal",
+class _CoordinatorHandler(FrontendHandler):
+    KNOWN_PATHS = FrontendHandler.KNOWN_PATHS + (
+        "/sweep", "/cluster/register", "/cluster/heartbeat",
+        "/cluster/cache", "/cluster/decommission", "/cluster/journal",
     )
 
     @property
     def coordinator(self) -> ClusterCoordinator:
-        return self.server.coordinator  # type: ignore[attr-defined]
-
-    def record_http(self, label: str, status: int) -> None:
-        self.coordinator.obs.record_http(label, status)
+        return self.server.frontend  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self.respond_json(200, {
-                "status": "alive",
-                "role": "coordinator",
-                "draining": self.coordinator.drain_controller.draining,
-            })
-        elif self.path == "/readyz":
-            self.respond_json(*self.coordinator.readyz_snapshot())
-        elif self.path == "/stats":
-            self.respond_json(200, self.coordinator.stats_snapshot())
-        elif self.path == "/metrics":
-            self.respond_text(200, self.coordinator.metrics_exposition())
-        elif self.path.startswith("/cluster/journal"):
+        if self.route_get():
+            return
+        if self.path.startswith("/cluster/journal"):
             try:
                 since = int(self.query_param("since", "0"))
             except ValueError:
@@ -1493,17 +1425,13 @@ class _CoordinatorHandler(JsonRequestHandler):
                 return
             self.respond_json(*self.coordinator.cache_get(key))
         else:
-            self.respond_json(404, {"status": "error",
-                                    "reason": "unknown path %s" % self.path})
+            self.respond_not_found()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         body = self.read_json_body()
-        if body is None:
+        if body is None or self.route_post(body):
             return
-        if self.path == "/estimate":
-            answer_estimate(self, self.coordinator.submit,
-                            self.coordinator.config.default_deadline_s, body)
-        elif self.path == "/sweep":
+        if self.path == "/sweep":
             self.respond_json(*self.coordinator.run_sweep(body))
         elif self.path == "/cluster/register":
             self.respond_json(*self.coordinator.register_worker(
@@ -1519,8 +1447,7 @@ class _CoordinatorHandler(JsonRequestHandler):
                 str(body.get("reason", "requested")),
             ))
         else:
-            self.respond_json(404, {"status": "error",
-                                    "reason": "unknown path %s" % self.path})
+            self.respond_not_found()
 
 
 def run_coordinator(
@@ -1538,15 +1465,14 @@ def run_coordinator(
     — then exits 0.
     """
     coordinator = ClusterCoordinator(config)
-    httpd = QuietHTTPServer((host, port), _CoordinatorHandler)
-    httpd.coordinator = coordinator  # type: ignore[attr-defined]
+    httpd = FrontendHTTPServer((host, port), coordinator, _CoordinatorHandler)
     coordinator.set_url("http://%s:%d" % (host, httpd.server_address[1]))
 
     def refresher() -> None:
         interval = coordinator.config.refresh_interval_s
         while not coordinator.drain_controller.wait(interval):
             coordinator.refresh_membership()
-            coordinator.publish_cluster_metrics()
+            coordinator.refresh_gauges()
 
     threading.Thread(
         target=refresher, name="cluster-refresh", daemon=True

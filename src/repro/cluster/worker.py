@@ -57,6 +57,7 @@ from repro.resilience.supervisor import retry_backoff_s
 from repro.service.api import (
     BadRequest,
     estimate_answer,
+    estimate_failure,
     estimate_job,
     parse_request,
 )
@@ -476,12 +477,7 @@ class ClusterWorker:
         try:
             report, seconds, _, _ = execute_spec(spec)
         except Exception as exc:  # noqa: BLE001 - job failure is data
-            return 500, {
-                "status": "error",
-                "reason": "estimation_failed",
-                "request_id": request.request_id,
-                "detail": "%s: %s" % (type(exc).__name__, exc),
-            }
+            return 500, estimate_failure(request, exc)
         answer = estimate_answer(request, report, breakers, seconds)
         answer["kind"] = JOB_KIND_ESTIMATE
         return 200, answer
@@ -543,8 +539,7 @@ class _WorkerHandler(JsonRequestHandler):
                 coordinator=self.worker.coordinator_url,
             ))
         else:
-            self.respond_json(404, {"status": "error",
-                                    "reason": "unknown path %s" % self.path})
+            self.respond_not_found()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/run":
@@ -565,8 +560,7 @@ class _WorkerHandler(JsonRequestHandler):
                 ),
             )
         else:
-            self.respond_json(404, {"status": "error",
-                                    "reason": "unknown path %s" % self.path})
+            self.respond_not_found()
 
 
 def run_worker(

@@ -15,8 +15,6 @@ into the registry name via :func:`repro.obs.prometheus.labeled`.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 __all__ = [
     "METRIC_HTTP_REQUESTS",
     "METRIC_ENERGY_ANSWERS",
@@ -48,7 +46,6 @@ __all__ = [
     "EVENT_ESTIMATOR_TIMEOUT",
     "EVENT_DRAIN_STEP",
     "EVENT_FLIGHT_DUMP",
-    "SERVICE_EVENTS",
     "METRIC_CLUSTER_WORKERS",
     "METRIC_CLUSTER_HEARTBEAT_AGE",
     "METRIC_CLUSTER_WORKER_QUEUE_DEPTH",
@@ -73,7 +70,6 @@ __all__ = [
     "EVENT_JOURNAL_REPLAYED",
     "EVENT_STALE_EPOCH",
     "EVENT_SWEEP_RECOVERED",
-    "CLUSTER_EVENTS",
 ]
 
 # -- metrics (registry names; Prometheus spelling derived at render) ----
@@ -207,42 +203,3 @@ EVENT_LEADER_RESIGNED = "leader.resigned"
 EVENT_JOURNAL_REPLAYED = "journal.replayed"
 EVENT_STALE_EPOCH = "epoch.stale_rejected"
 EVENT_SWEEP_RECOVERED = "sweep.recovered"
-
-#: Every event name the service can emit — the schema contract the
-#: docs and the lint-adjacent tests check against.
-SERVICE_EVENTS: Tuple[str, ...] = (
-    EVENT_ADMITTED,
-    EVENT_COALESCED,
-    EVENT_REJECTED,
-    EVENT_SHED,
-    EVENT_DISPATCHED,
-    EVENT_COMPLETED,
-    EVENT_FAILED,
-    EVENT_DEADLINE_EXPIRED,
-    EVENT_BREAKER_TRANSITION,
-    EVENT_ESTIMATOR_FALLBACK,
-    EVENT_ESTIMATOR_FAILURE,
-    EVENT_ESTIMATOR_SHORT_CIRCUIT,
-    EVENT_ESTIMATOR_TIMEOUT,
-    EVENT_DRAIN_STEP,
-    EVENT_FLIGHT_DUMP,
-)
-
-#: Every event name the cluster coordinator can emit, *in addition to*
-#: the service set (the coordinator reuses EVENT_COALESCED and the
-#: drain events).  A separate tuple on purpose: the single-node
-#: service's event contract is unchanged by the cluster layer.
-CLUSTER_EVENTS: Tuple[str, ...] = (
-    EVENT_WORKER_REGISTERED,
-    EVENT_WORKER_STATE,
-    EVENT_WORKER_QUARANTINED,
-    EVENT_JOB_REDISPATCHED,
-    EVENT_SHARD_HANDOFF,
-    EVENT_SWEEP_STEP,
-    EVENT_LEADER_ELECTED,
-    EVENT_LEADER_DEPOSED,
-    EVENT_LEADER_RESIGNED,
-    EVENT_JOURNAL_REPLAYED,
-    EVENT_STALE_EPOCH,
-    EVENT_SWEEP_RECOVERED,
-)

@@ -15,8 +15,10 @@ facility with the robustness contract of a production serving stack:
   fingerprint itself;
 * :mod:`repro.service.lifecycle` — SIGTERM-driven graceful drain with
   checkpointing of unstarted requests;
-* :mod:`repro.service.server` — the service core, the stdlib HTTP
-  front end, and the ``repro serve`` runner.
+* :mod:`repro.service.frontend` — the request lifecycle and HTTP
+  routes shared with the cluster coordinator;
+* :mod:`repro.service.server` — the service backend (admission queue,
+  worker threads, drain) and the ``repro serve`` runner.
 
 See ``docs/service.md`` for the API, breaker semantics, the drain
 sequence, and capacity tuning.

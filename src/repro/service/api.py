@@ -45,6 +45,7 @@ __all__ = [
     "request_fingerprint",
     "estimate_job",
     "estimate_answer",
+    "estimate_failure",
 ]
 
 #: Admission priorities, lowest to highest.  Load shedding removes the
@@ -324,4 +325,15 @@ def estimate_answer(request: EstimateRequest, report: "EnergyReport",
         "breakers": breakers.states(),
         "run_seconds": run_seconds,
         "report": dataclasses.asdict(report),
+    }
+
+
+def estimate_failure(request: EstimateRequest,
+                     exc: Exception) -> Dict[str, Any]:
+    """The 500 body of an estimate whose run raised ``exc``."""
+    return {
+        "status": "error",
+        "reason": "estimation_failed",
+        "request_id": request.request_id,
+        "detail": "%s: %s" % (type(exc).__name__, exc),
     }

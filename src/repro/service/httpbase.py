@@ -139,6 +139,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         payload = json.dumps(body, sort_keys=True).encode("utf-8")
         self.send_payload(status, payload, "application/json", headers)
 
+    def respond_not_found(self) -> None:
+        self.respond_json(404, {"status": "error",
+                                "reason": "unknown path %s" % self.path})
+
     def respond_text(self, status: int, text: str) -> None:
         self.send_payload(
             status, text.encode("utf-8"),

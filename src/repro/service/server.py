@@ -20,6 +20,10 @@ The request path, end to end::
                                                            │
                                                200 + report  /  504  /  500
 
+The parse, fingerprint, coalescing and terminal-outcome steps are the
+shared request frontend (:mod:`repro.service.frontend`); this module is
+its local backend: the admission queue, the workers and the drain.
+
 Robustness properties, each tested:
 
 * bounded memory — the queue never exceeds ``queue_depth`` entries and
@@ -51,20 +55,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
-from repro.obs import Observability
-from repro.obs.context import RequestContext, use_context, use_event_sink
-from repro.obs.logging import JsonLogger, NULL_LOGGER
+from repro.obs.context import use_context, use_event_sink
+from repro.obs.logging import JsonLogger
 from repro.obs.names import (
     EVENT_ADMITTED,
-    EVENT_COALESCED,
-    EVENT_COMPLETED,
     EVENT_DEADLINE_EXPIRED,
     EVENT_DISPATCHED,
     EVENT_DRAIN_STEP,
-    EVENT_FAILED,
     EVENT_REJECTED,
     EVENT_SHED,
     METRIC_ADMISSION_STATIC_COST_IN_FLIGHT,
@@ -77,15 +76,19 @@ from repro.service.api import (
     BadRequest,
     EstimateRequest,
     estimate_answer,
+    estimate_failure,
     estimate_job,
-    parse_request,
-    request_fingerprint,
 )
 from repro.service.breaker import BreakerRegistry
-from repro.service.dedup import InflightTable
-from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
+from repro.service.frontend import (
+    Entry,
+    FrontendHandler,
+    FrontendHTTPServer,
+    PendingResult,
+    RequestFrontend,
+    ServiceRejected,
+)
 from repro.service.lifecycle import (
-    DrainController,
     load_drain_checkpoint,
     serve_until_drained,
     write_drain_checkpoint,
@@ -108,17 +111,6 @@ __all__ = [
 #: Seconds-per-cost-unit rate used for Retry-After quotes before any
 #: run has completed; replaced by the online EWMA after the first one.
 DEFAULT_SECONDS_PER_COST_UNIT = 0.05
-
-
-class ServiceRejected(ReproError):
-    """A submission was refused (backpressure, drain, shed)."""
-
-    def __init__(self, message: str, status: int, reason: str,
-                 retry_after_s: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-        self.retry_after_s = retry_after_s
 
 
 @dataclass
@@ -161,59 +153,6 @@ class ServiceConfig:
             raise ValueError("flight_recorder_capacity must be >= 1")
 
 
-class PendingResult:
-    """Completion handle shared by a primary and its coalesced followers."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.status: int = 0
-        self.body: Dict[str, Any] = {}
-        self.headers: Dict[str, str] = {}
-        #: Correlation id of the request tree this result belongs to
-        #: (set at admission; the HTTP layer echoes it as X-Trace-Id).
-        self.trace_id: str = ""
-
-    def resolve(self, status: int, body: Dict[str, Any],
-                headers: Optional[Dict[str, str]] = None) -> None:
-        if self._event.is_set():
-            return  # first terminal outcome wins
-        self.status = status
-        self.body = body
-        self.headers = dict(headers or {})
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-
-@dataclass
-class _Entry:
-    """One admitted request riding through queue and worker."""
-
-    request: EstimateRequest
-    fingerprint: str
-    pending: PendingResult
-    admitted_at: float
-    context: Optional[RequestContext] = None
-    #: Static admission weight of the request
-    #: (:attr:`repro.lint.cost.CostReport.cost_units`).
-    cost: float = 1.0
-
-    @classmethod
-    def new(cls, request: EstimateRequest, bundle: Any, admitted_at: float,
-            cost: float = 1.0) -> "_Entry":
-        """An entry with a fresh trace context and result handle."""
-        context = RequestContext.new(request.request_id)
-        entry = cls(request, request_fingerprint(bundle, request),
-                    PendingResult(), admitted_at, context, cost)
-        entry.pending.trace_id = context.trace_id
-        return entry
-
-
 @dataclass
 class DrainReport:
     """Outcome of one graceful drain."""
@@ -239,8 +178,9 @@ class DrainReport:
         return ", ".join(parts)
 
 
-class CoEstimationService:
-    """Queue + workers + breakers + dedup + drain, HTTP-agnostic.
+class CoEstimationService(RequestFrontend):
+    """The local backend: cost-priced admission queue + worker threads,
+    with breakers and drain, HTTP-agnostic.
 
     The HTTP layer is a thin adapter over this class, so tests (and
     embedders) can drive admission, execution and drain directly.
@@ -251,13 +191,8 @@ class CoEstimationService:
                  clock: Callable[[], float] = time.monotonic,
                  logger: Optional[JsonLogger] = None) -> None:
         self.config = config or ServiceConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.clock = clock
-        if logger is None:
-            logger = JsonLogger() if self.config.log_json else NULL_LOGGER
-        self.obs = Observability(
-            metrics=self.telemetry.metrics,
-            logger=logger,
+        super().__init__(
+            telemetry, clock, logger,
             slo=self.config.slo,
             flight_capacity=self.config.flight_recorder_capacity,
             flight_dump_dir=self.config.flight_dump_dir,
@@ -270,15 +205,12 @@ class CoEstimationService:
             clock=clock,
             on_transition=self.obs.breaker_transition,
         )
-        self.dedup = InflightTable()
         # Last few requests' worker-side span records, keyed by
         # trace_id — the /debug/trace/<id> postmortem view.  Bounded:
         # oldest evicted first.
         self._recent_traces: "OrderedDict[str, List[Tuple]]" = OrderedDict()
         self._recent_traces_cap = 32
-        self.drain_controller = DrainController()
         self._threads: List[threading.Thread] = []
-        self._lock = threading.Lock()
         self._started = False
         self._stopped = False
         self._in_flight = 0
@@ -291,12 +223,8 @@ class CoEstimationService:
         # Per-system static admission weights, computed once — the
         # bundled systems are immutable, so their CostReports are too.
         self._static_costs: Dict[str, float] = {}
-        self._completed = 0
-        self._failed = 0
         self._expired = 0
         self._shed = 0
-        self._provenance: Dict[str, int] = {}
-        self._degraded_responses = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -341,71 +269,53 @@ class CoEstimationService:
 
     # -- admission ------------------------------------------------------
 
-    def submit(self, request: EstimateRequest) -> Tuple[PendingResult, bool]:
-        """Admit one request; returns ``(pending, coalesced)``.
-
-        Raises :class:`ServiceRejected` with the HTTP status to answer
-        (503 draining, 429 queue full + Retry-After).
-        """
+    def refuse(self, request: EstimateRequest) -> None:
         if not self._started:
             raise ServiceRejected("service not started", 503, "not_started")
         if self.drain_controller.draining or self._stopped:
             self._count("service.rejected.draining")
             raise ServiceRejected("service is draining", 503, "draining")
-        bundle = build_bundle(request.system)
-        cost = self._static_cost(request.system, bundle)
-        entry = _Entry.new(request, bundle, self.clock(), cost)
-        fingerprint = entry.fingerprint
-        with use_context(entry.context):
-            primary = self.dedup.admit(fingerprint, entry)
-            if primary is not entry:
-                self._count("service.coalesced")
-                self.obs.event(
-                    EVENT_COALESCED,
-                    fingerprint=fingerprint,
-                    primary_trace_id=(
-                        primary.context.trace_id if primary.context else ""
-                    ),
-                )
-                return primary.pending, True
-            try:
-                victim = self.queue.submit(entry, request.priority,
-                                           cost=cost)
-            except QueueFull:
-                self.dedup.complete(fingerprint)
-                self._count("service.rejected.queue_full")
-                self.obs.event(
-                    EVENT_REJECTED, reason="queue_full",
-                    system=request.system, depth=self.queue.depth,
-                    static_cost=round(cost, 4),
-                )
-                raise ServiceRejected(
-                    "admission queue full", 429, "queue_full",
-                    retry_after_s=self._retry_after_s(cost),
-                ) from None
-            except QueueClosed:
-                self.dedup.complete(fingerprint)
-                self._count("service.rejected.draining")
-                self.obs.event(EVENT_REJECTED, reason="draining",
-                               system=request.system)
-                raise ServiceRejected(
-                    "service is draining", 503, "draining"
-                ) from None
-            self._count("service.admitted")
-            self._gauge("service.queue_depth", self.queue.depth)
+
+    def start_entry(self, entry: Entry) -> None:
+        """Queue a primary (429 + Retry-After when the queue is full)."""
+        request = entry.request
+        cost = entry.cost = self._static_cost(request.system)
+        try:
+            victim = self.queue.submit(entry, request.priority, cost=cost)
+        except QueueFull:
+            self.dedup.complete(entry.fingerprint)
+            self._count("service.rejected.queue_full")
             self.obs.event(
-                EVENT_ADMITTED,
-                system=request.system,
-                strategy=request.strategy,
-                priority=request.priority,
-                depth=self.queue.depth,
+                EVENT_REJECTED, reason="queue_full",
+                system=request.system, depth=self.queue.depth,
                 static_cost=round(cost, 4),
             )
-            if victim is not None:
-                self._finish_shed(victim)
-        return entry.pending, False
+            raise ServiceRejected(
+                "admission queue full", 429, "queue_full",
+                retry_after_s=self._retry_after_s(cost),
+            ) from None
+        except QueueClosed:
+            self.dedup.complete(entry.fingerprint)
+            self._count("service.rejected.draining")
+            self.obs.event(EVENT_REJECTED, reason="draining",
+                           system=request.system)
+            raise ServiceRejected(
+                "service is draining", 503, "draining"
+            ) from None
+        self._count("service.admitted")
+        self._gauge("service.queue_depth", self.queue.depth)
+        self.obs.event(
+            EVENT_ADMITTED,
+            system=request.system,
+            strategy=request.strategy,
+            priority=request.priority,
+            depth=self.queue.depth,
+            static_cost=round(cost, 4),
+        )
+        if victim is not None:
+            self._finish_shed(victim)
 
-    def _static_cost(self, system: str, bundle: Any) -> float:
+    def _static_cost(self, system: str) -> float:
         """Static admission weight of one request, cached per system.
 
         The weight is :attr:`repro.lint.cost.CostReport.cost_units` —
@@ -421,7 +331,7 @@ class CoEstimationService:
         try:
             from repro.lint.cost import compute_cost_report
 
-            cost = compute_cost_report(bundle.network).cost_units
+            cost = compute_cost_report(build_bundle(system).network).cost_units
         except Exception:
             cost = 1.0
         with self._lock:
@@ -445,52 +355,16 @@ class CoEstimationService:
         estimate = backlog * rate / max(1, self.config.workers)
         return max(1, int(estimate + 0.999))
 
-    def _finish_shed(self, victim: _Entry) -> None:
+    def _finish_shed(self, victim: Entry) -> None:
         with self._lock:
             self._shed += 1
         self._count("service.shed")
         self.dedup.complete(victim.fingerprint)
-        self._resolve(
-            victim,
-            503,
-            {
-                "status": "rejected",
-                "reason": "load_shed",
-                "request_id": victim.request.request_id,
-                "detail": "shed for a higher-priority request under "
-                          "queue pressure",
-            },
+        self.reject(
+            victim, "load_shed", event=EVENT_SHED,
             headers={"Retry-After": str(self._retry_after_s(victim.cost))},
-            event=EVENT_SHED,
+            detail="shed for a higher-priority request under queue pressure",
         )
-
-    def _resolve(self, entry: _Entry, status: int, body: Dict[str, Any],
-                 headers: Optional[Dict[str, str]] = None,
-                 event: Optional[str] = None, **event_fields: Any) -> None:
-        """Terminal-outcome funnel: every response goes through here.
-
-        One call site per outcome keeps the observability contract
-        honest — the trace id lands on the response, the SLO tracker
-        and latency histogram see every terminal status, the lifecycle
-        event is recorded under the request's context, and any
-        server-side failure (5xx) triggers a flight-recorder dump.
-        """
-        headers = dict(headers or {})
-        if entry.context is not None:
-            headers.setdefault("X-Trace-Id", entry.context.trace_id)
-        entry.pending.resolve(status, body, headers)
-        latency_s = self.clock() - entry.admitted_at
-        self.obs.record_outcome(status, latency_s)
-        with use_context(entry.context):
-            if event is not None:
-                self.obs.event(
-                    event, status=status,
-                    latency_s=round(latency_s, 6), **event_fields
-                )
-            # 503 is routine backpressure (shed / draining) — not a
-            # postmortem; the drain path writes its own single dump.
-            if status >= 500 and status != 503:
-                self.obs.dump_flight(str(body.get("reason") or status))
 
     # -- execution ------------------------------------------------------
 
@@ -513,14 +387,14 @@ class CoEstimationService:
                     self._in_flight_cost -= entry.cost
                 self._gauge("service.queue_depth", self.queue.depth)
 
-    def _execute(self, entry: _Entry) -> None:
+    def _execute(self, entry: Entry) -> None:
         # The whole execution runs under the request's trace context and
         # with the obs bundle as the event sink, so spans, log lines and
         # supervisor events (fallbacks, breaker trips) all correlate.
         with use_context(entry.context), use_event_sink(self.obs.sink):
             self._execute_in_context(entry)
 
-    def _execute_in_context(self, entry: _Entry) -> None:
+    def _execute_in_context(self, entry: Entry) -> None:
         request = entry.request
         queue_wait = self.clock() - entry.admitted_at
         self._observe("service.queue_wait_seconds", queue_wait)
@@ -536,8 +410,7 @@ class CoEstimationService:
         breakers = self.breakers.scoped(request.system)
         spec = estimate_job(
             request, watchdog_s, breakers,
-            trace=(entry.context.to_payload()
-                   if entry.context is not None else None),
+            trace=entry.context.to_payload(),
             collect_telemetry=self.telemetry.enabled,
         )
         from repro.parallel.pool import execute_spec
@@ -550,14 +423,6 @@ class CoEstimationService:
             deadline_remaining_s=round(remaining, 6),
         )
         started = self.clock()
-        run_span = self.telemetry.tracer.span(
-            "service.execute",
-            track="service",
-            args=dict(
-                entry.context.trace_args() if entry.context else {},
-                system=request.system,
-            ),
-        )
         try:
             # Outer backstop only: the in-run watchdog already bounds
             # every low-level call at `watchdog_s` and degrades instead
@@ -570,37 +435,22 @@ class CoEstimationService:
                          % remaining, detail="watchdog")
             return
         except Exception as exc:
-            with self._lock:
-                self._failed += 1
-            self._count("service.failed")
-            self._resolve(
-                entry,
-                500,
-                {
-                    "status": "error",
-                    "reason": "estimation_failed",
-                    "request_id": request.request_id,
-                    "detail": "%s: %s" % (type(exc).__name__, exc),
-                },
-                event=EVENT_FAILED,
-                error="%s: %s" % (type(exc).__name__, exc),
-            )
+            body = estimate_failure(request, exc)
+            self.finish(entry, 500, body, 0.0, error=body["detail"])
             return
-        finally:
-            run_span.close()
-        if entry.context is not None and job_spans:
+        if job_spans:
             self._remember_trace(entry.context.trace_id, job_spans)
         body = estimate_answer(request, report, breakers, run_seconds)
         body["fingerprint"] = entry.fingerprint
         body["queue_seconds"] = queue_wait
-        self._finish_ok(entry, body, self.clock() - started)
+        self.finish(entry, 200, body, self.clock() - started)
 
-    def _expire(self, entry: _Entry, message: str,
+    def _expire(self, entry: Entry, message: str,
                 **event_fields: Any) -> None:
         with self._lock:
             self._expired += 1
         self._count("service.deadline_expired")
-        self._resolve(
+        self.resolve(
             entry,
             504,
             {
@@ -625,42 +475,15 @@ class CoEstimationService:
             spans = self._recent_traces.get(trace_id)
             return list(spans) if spans is not None else None
 
-    def _finish_ok(self, entry: _Entry, body: Dict[str, Any],
-                   wall_s: float) -> None:
-        provenance: Dict[str, int] = body["provenance"]
-        degraded = bool(body["degraded"])
-        with self._lock:
-            self._completed += 1
-            self._avg_run_s = (
-                wall_s if self._avg_run_s == 0.0
-                else 0.8 * self._avg_run_s + 0.2 * wall_s
-            )
-            rate = wall_s / max(entry.cost, 1e-9)
-            self._seconds_per_cost_unit = (
-                rate if self._seconds_per_cost_unit == 0.0
-                else 0.8 * self._seconds_per_cost_unit + 0.2 * rate
-            )
-            for level, count in provenance.items():
-                self._provenance[level] = (
-                    self._provenance.get(level, 0) + count
-                )
-            if degraded:
-                self._degraded_responses += 1
-        self._count("service.completed")
-        if degraded:
-            self._count("service.degraded_responses")
-        self._observe("service.run_seconds", wall_s)
-        for level, count in sorted(provenance.items()):
-            if count > 0:
-                self.obs.record_answer(entry.request.system, level, count)
-        self._resolve(
-            entry,
-            200,
-            body,
-            event=EVENT_COMPLETED,
-            system=entry.request.system,
-            degraded=degraded,
-            run_seconds=round(body["run_seconds"], 6),
+    def note_run(self, entry: Entry, run_s: float) -> None:
+        self._avg_run_s = (
+            run_s if self._avg_run_s == 0.0
+            else 0.8 * self._avg_run_s + 0.2 * run_s
+        )
+        rate = run_s / max(entry.cost, 1e-9)
+        self._seconds_per_cost_unit = (
+            rate if self._seconds_per_cost_unit == 0.0
+            else 0.8 * self._seconds_per_cost_unit + 0.2 * rate
         )
 
     # -- drain ----------------------------------------------------------
@@ -686,7 +509,7 @@ class CoEstimationService:
         self.queue.close()
         self.obs.event(EVENT_DRAIN_STEP, step="queue_closed",
                        depth=self.queue.depth)
-        leftovers: List[_Entry] = self.queue.drain_remaining()
+        leftovers: List[Entry] = self.queue.drain_remaining()
         join_deadline = max(0.0, deadline - self.clock()) + 1.0
         for thread in self._threads:
             thread.join(join_deadline)
@@ -714,18 +537,9 @@ class CoEstimationService:
             )
         for entry in leftovers:
             self.dedup.complete(entry.fingerprint)
-            self._resolve(
-                entry,
-                503,
-                {
-                    "status": "rejected",
-                    "reason": "draining",
-                    "request_id": entry.request.request_id,
-                    "checkpointed": self.config.checkpoint_path is not None,
-                },
-                headers={"Retry-After": "30"},
-                event=EVENT_REJECTED,
-                reason="draining",
+            self.reject(
+                entry, "draining", headers={"Retry-After": "30"},
+                checkpointed=self.config.checkpoint_path is not None,
             )
         self._gauge("service.queue_depth", 0)
         self.obs.event(
@@ -741,8 +555,13 @@ class CoEstimationService:
 
     # -- observability --------------------------------------------------
 
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """The /stats document (also the programmatic dashboard view)."""
+    def readyz_snapshot(self) -> Tuple[int, Dict[str, Any]]:
+        if self.ready:
+            return 200, {"status": "ready"}
+        return 503, {"status": ("draining" if self.drain_controller.draining
+                                else "not_started")}
+
+    def backend_stats(self) -> Dict[str, Any]:
         with self._lock:
             service = {
                 "state": ("draining" if self.drain_controller.draining
@@ -764,61 +583,26 @@ class CoEstimationService:
                     for name, cost in sorted(self._static_costs.items())
                 },
             }
-            provenance = dict(self._provenance)
         admission["queued_cost"] = round(self.queue.queued_cost, 4)
-        self._refresh_admission_gauges()
-        self._gauge("service.queue_depth", self.queue.depth)
-        self._gauge("service.breakers_open", self.breakers.open_count())
-        self.obs.sync_breaker_states(self.breakers.states())
-        self.obs.publish()
-        recorder = self.obs.recorder
         return {
             "service": service,
             "admission": admission,
             "queue": self.queue.snapshot(),
-            "dedup": self.dedup.snapshot(),
             "breakers": self.breakers.snapshot(),
             "breaker_states": self.breakers.states(),
-            "provenance": provenance,
-            "slo": self.obs.slo.snapshot(),
-            "flight_recorder": {
-                "capacity": recorder.capacity,
-                "recorded": recorder.recorded,
-                "dropped": recorder.dropped,
-                "dumps": recorder.dumps,
-                "dump_dir": self.config.flight_dump_dir,
-            },
-            "metrics": self.telemetry.metrics.snapshot(),
         }
 
-    def metrics_exposition(self) -> str:
-        """The Prometheus ``/metrics`` body (refreshes derived gauges)."""
-        self._gauge("service.queue_depth", self.queue.depth)
-        self._gauge("service.breakers_open", self.breakers.open_count())
-        self._refresh_admission_gauges()
-        self.obs.sync_breaker_states(self.breakers.states())
-        return self.obs.render_metrics()
-
-    def _refresh_admission_gauges(self) -> None:
+    def refresh_gauges(self) -> None:
         with self._lock:
             in_flight_cost = self._in_flight_cost
             rate = self._seconds_per_cost_unit
+        self._gauge("service.queue_depth", self.queue.depth)
+        self._gauge("service.breakers_open", self.breakers.open_count())
         self._gauge(METRIC_ADMISSION_STATIC_COST_QUEUED,
                     self.queue.queued_cost)
         self._gauge(METRIC_ADMISSION_STATIC_COST_IN_FLIGHT, in_flight_cost)
         self._gauge(METRIC_ADMISSION_STATIC_COST_SECONDS_PER_UNIT, rate)
-
-    def _count(self, name: str) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(name).inc()
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(name).set(value)
-
-    def _observe(self, name: str, value: float) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.histogram(name).observe(value)
+        self.obs.sync_breaker_states(self.breakers.states())
 
 
 # ----------------------------------------------------------------------
@@ -826,128 +610,45 @@ class CoEstimationService:
 # ----------------------------------------------------------------------
 
 
-class ServiceHTTPServer(QuietHTTPServer):
+class ServiceHTTPServer(FrontendHTTPServer):
     """The HTTP server of ``repro serve``; carries the service reference."""
 
     def __init__(self, address: Tuple[str, int],
                  service: CoEstimationService,
                  quiet: bool = True) -> None:
-        self.service = service
-        super().__init__(address, _Handler, quiet=quiet)
+        super().__init__(address, service, _Handler, quiet=quiet)
 
 
-#: Grace added to a request's deadline while a handler waits for its
-#: pending result; a drain always resolves earlier.
-WAIT_GRACE_S = 5.0
-
-
-def answer_estimate(
-    handler: JsonRequestHandler,
-    submit: Callable[[EstimateRequest], Tuple[PendingResult, bool]],
-    default_deadline_s: float,
-    body: Any,
-) -> None:
-    """The ``POST /estimate`` flow of ``repro serve`` and the cluster
-    coordinator: parse, ``submit`` (which raises
-    :class:`ServiceRejected` to refuse), wait, answer."""
-    server = cast(QuietHTTPServer, handler.server)
-    with server.owed_answer():
-        try:
-            request = parse_request(
-                body, known_systems=system_names(),
-                default_deadline_s=default_deadline_s,
-            )
-        except BadRequest as exc:
-            handler.respond_json(400, {"status": "error",
-                                       "reason": str(exc)})
-            return
-        try:
-            pending, coalesced = submit(request)
-        except ServiceRejected as exc:
-            headers = {}
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = str(exc.retry_after_s)
-            handler.respond_json(exc.status, {
-                "status": "rejected",
-                "reason": exc.reason,
-                "request_id": request.request_id,
-            }, headers)
-            return
-        server.waiting_on(pending)
-        if not pending.wait(request.deadline_s + WAIT_GRACE_S):
-            handler.respond_json(504, {
-                "status": "error",
-                "reason": "deadline_exceeded",
-                "request_id": request.request_id,
-            })
-            return
-        reply = dict(pending.body)
-        if coalesced:
-            reply["coalesced"] = True
-        handler.respond_json(pending.status, reply, pending.headers)
-
-
-class _Handler(JsonRequestHandler):
-    KNOWN_PATHS = (
-        "/estimate", "/healthz", "/readyz", "/stats", "/metrics",
-        "/debug/flightrecorder", "/debug/trace",
-    )
+class _Handler(FrontendHandler):
+    KNOWN_PATHS = FrontendHandler.KNOWN_PATHS + ("/debug/trace",)
 
     @property
     def service(self) -> CoEstimationService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def record_http(self, label: str, status: int) -> None:
-        self.service.obs.record_http(label, status)
-
-    # -- routes ---------------------------------------------------------
+        return self.server.frontend  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self.respond_json(200, {
-                "status": "alive",
-                "draining": self.service.drain_controller.draining,
+        if self.route_get():
+            return
+        if not self.path.startswith("/debug/trace/"):
+            self.respond_not_found()
+            return
+        trace_id = self.path[len("/debug/trace/"):]
+        spans = self.service.trace_spans(trace_id)
+        if spans is None:
+            self.respond_json(404, {
+                "status": "error",
+                "reason": "no recent trace %s" % trace_id,
             })
-        elif self.path == "/readyz":
-            if self.service.ready:
-                self.respond_json(200, {"status": "ready"})
-            else:
-                reason = ("draining" if self.service.drain_controller.draining
-                          else "not_started")
-                self.respond_json(503, {"status": reason})
-        elif self.path == "/stats":
-            self.respond_json(200, self.service.stats_snapshot())
-        elif self.path == "/metrics":
-            self.respond_text(200, self.service.metrics_exposition())
-        elif self.path == "/debug/flightrecorder":
-            self.respond_json(200, self.service.obs.recorder.snapshot())
-        elif self.path.startswith("/debug/trace/"):
-            trace_id = self.path[len("/debug/trace/"):]
-            spans = self.service.trace_spans(trace_id)
-            if spans is None:
-                self.respond_json(404, {
-                    "status": "error",
-                    "reason": "no recent trace %s" % trace_id,
-                })
-            else:
-                self.respond_json(200, {
-                    "trace_id": trace_id,
-                    "spans": [list(span) for span in spans],
-                })
         else:
-            self.respond_json(404, {"status": "error",
-                                "reason": "unknown path %s" % self.path})
+            self.respond_json(200, {
+                "trace_id": trace_id,
+                "spans": [list(span) for span in spans],
+            })
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != "/estimate":
-            self.respond_json(404, {"status": "error",
-                                "reason": "unknown path %s" % self.path})
-            return
         body = self.read_json_body()
-        if body is None:
-            return
-        answer_estimate(self, self.service.submit,
-                        self.service.config.default_deadline_s, body)
+        if body is not None and not self.route_post(body):
+            self.respond_not_found()
 
 
 def run_server(
