@@ -98,12 +98,13 @@ def _preflight(network, args: argparse.Namespace, metrics=None,
     """
     if getattr(args, "no_preflight", False):
         return
-    from repro.lint import Severity, run_lint
+    from repro.lint.diagnostics import Severity
+    from repro.lint.passes import run_lint
 
     result = run_lint(network, fast_only=True, metrics=metrics)
     errors = result.count(Severity.ERROR)
     if errors:
-        from repro.lint import render_text
+        from repro.lint.emitters import render_text
 
         sys.stderr.write(render_text(result.diagnostics,
                                      title="pre-flight %s" % network.name))
@@ -129,7 +130,9 @@ def _preflight_service(args: argparse.Namespace, what: str) -> None:
     """
     if getattr(args, "no_preflight", False):
         return
-    from repro.lint import Severity, render_text, run_lint
+    from repro.lint.diagnostics import Severity
+    from repro.lint.emitters import render_text
+    from repro.lint.passes import run_lint
 
     for name in system_names():
         network = _bundle(name).network
@@ -387,12 +390,9 @@ def _write_sweep_summary(path: str, points) -> None:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint <system>`` — the whole-design static analyzer."""
-    from repro.lint import (
-        EMITTERS,
-        load_baseline,
-        run_lint,
-        write_baseline,
-    )
+    from repro.lint.baseline import load_baseline, write_baseline
+    from repro.lint.emitters import EMITTERS
+    from repro.lint.passes import run_lint
 
     bundle = _bundle(args.system)
     baseline = load_baseline(args.baseline) if args.baseline else None
@@ -422,7 +422,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         atomic_write_text(args.metrics, telemetry.metrics.to_json() + "\n")
         print("wrote %s" % args.metrics)
     if args.cost or args.cost_output:
-        from repro.lint import compute_cost_report
+        from repro.lint.cost import compute_cost_report
 
         cost_report = compute_cost_report(bundle.network)
         if args.cost:

@@ -57,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs import labeled
 from repro.obs.logging import JsonLogger
 from repro.obs.names import (
-    EVENT_FAILED,
     EVENT_JOB_REDISPATCHED,
     EVENT_JOURNAL_REPLAYED,
     EVENT_LEADER_DEPOSED,
@@ -867,13 +866,13 @@ class ClusterCoordinator(RequestFrontend):
                 redispatches += 1
                 self._note_redispatch(target, request.request_id, str(exc))
                 if redispatches > self.config.redispatch_budget:
-                    self.resolve(entry, 502, {
+                    self.fail(entry, 502, {
                         "status": "error",
                         "reason": "redispatch_budget_exhausted",
                         "request_id": request.request_id,
                         "detail": "%d dispatch attempt(s) failed"
                                   % redispatches,
-                    }, event=EVENT_FAILED, redispatches=redispatches)
+                    }, redispatches=redispatches)
                     return
                 time.sleep(retry_backoff_s(
                     "estimate:%s" % entry.fingerprint, redispatches,

@@ -201,7 +201,8 @@ class HardwarePowerSimulator:
             if metrics is not None:
                 metrics.counter("hw.run_memo.hits").inc()
             recorded, values_after, toggles = entry
-            sim.load(values_after)
+            # A recorded run ends with a step: its end state is settled.
+            sim.load(values_after, settled=True)
             self._needs_settle = False
             sim.cycle += recorded.cycles
             sim.total_energy += recorded.energy

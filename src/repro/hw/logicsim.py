@@ -1,4 +1,4 @@
-"""Levelized compiled-code gate-level simulation with power accounting.
+"""Levelized, activity-driven compiled-code gate-level simulation.
 
 The simulator translates a netlist into straight-line Python once
 (levelized compiled-code simulation, the classic acceleration used by
@@ -7,15 +7,27 @@ net transition is detected against the previous settled state and
 charged ``1/2 C V^2`` plus cell-internal energy; flip-flops additionally
 draw clock energy every cycle.
 
+Like the paper's event-driven power simulator, a cycle evaluates only
+the gates whose inputs changed: each gate has a dirty flag guarding its
+line of code, and every toggle (a gate output, a flip-flop output at the
+clock edge, a primary input in :meth:`CompiledSimulator.step`) sets the
+flags of the gates that read the toggled net.  A gate that is not dirty
+already holds the value its inputs give, so skipping it skips no toggle,
+and the toggles that do happen are still charged in netlist order: the
+per-cycle energies are the float sums a full evaluation gives.
+
 The clock edge is compiled into one generator function and the gate
 list into chunks of at most ``_CHUNK_SIZE`` gates, one generator
 function each.  A running generator keeps the nets it drives (flip-flop
 outputs, or its own gates' outputs) in local variables across cycles, so
 a toggle test compares two locals; other nets are read from the ``values``
 list, which every toggle still updates and which stays the
-authoritative net state.  Out-of-band writes to that state go through
-:meth:`CompiledSimulator.load`, which restarts the generators (reloading
-their locals) lazily at the next evaluation.
+authoritative net state.  The dirty flags are closure cells, one per
+gate, that each simulator creates and binds into its own copies of the
+kernels, so a kernel can mark gates of any chunk.  Out-of-band writes to
+the net state go through :meth:`CompiledSimulator.load`, which flags the
+gates they may have made inconsistent and restarts the generators
+(reloading their locals) lazily at the next evaluation.
 
 The per-cycle energy sequence is exactly what the paper's modified SIS
 power simulator reports back to the simulation master.
@@ -23,7 +35,11 @@ power simulator reports back to the simulation master.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import builtins
+from itertools import repeat
+from operator import itemgetter
+from types import CellType, CodeType, FunctionType
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
 from repro.hw.netlist import CONST1, Netlist, NetlistKey
@@ -46,9 +62,31 @@ _GATE_EXPR = {
     "MUX2": "({2} if {0} else {1})",
 }
 
-#: Gates per generated chunk kernel.  Bounded chunks keep each ``exec``
-#: (and the compile-time memory spike) small.
-_CHUNK_SIZE = 320
+#: Gates per generated chunk kernel.  Bounded chunks keep each compile
+#: (and the compile-time memory spike) small: the guarded code of 320
+#: gates peaked 3 MB higher than that of 160.
+_CHUNK_SIZE = 160
+
+
+class _KernelCode(NamedTuple):
+    """One compiled kernel, before a simulator binds its flags."""
+
+    code: CodeType
+    #: Parameter defaults: the loader of the nets held in locals, then
+    #: the cell energies.
+    defaults: Tuple[object, ...]
+    #: Netlist position of the gate behind each of ``code.co_freevars``.
+    flags: Tuple[int, ...]
+
+
+class _Compiled(NamedTuple):
+    #: The clock-edge kernel, then one kernel per gate chunk.
+    kernels: Tuple[_KernelCode, ...]
+    #: Positions of the gates reading each net that no gate drives
+    #: (flip-flop outputs and primary inputs): the flags to set when a
+    #: primary input or a load changes the net.
+    readers: Dict[int, Tuple[int, ...]]
+
 
 #: Cache of compiled kernels, keyed by (netlist content key, library
 #: signature, chunk size).  Iterative design-space exploration
@@ -56,14 +94,14 @@ _CHUNK_SIZE = 320
 #: per design point); the generated code depends only on the gates, the
 #: flip-flops' D/Q nets (hard-coded in the clock-edge kernel) and the
 #: cell energies, so every instantiation after the first can skip the
-#: codegen/``exec`` step entirely.  The content key
+#: codegen/compile step entirely.  The content key
 #: (:class:`~repro.hw.netlist.NetlistKey`) is taken once per netlist and
-#: hashes in O(1).  The kernels are generator *functions*: all state
-#: lives in the generator objects and the ``v`` list each simulator
-#: owns, which is what makes sharing them across simulator instances
-#: safe.
+#: hashes in O(1).  The entries are code objects: each simulator binds
+#: them to its own flag cells, and the generators it starts from them
+#: and the ``v`` list it owns hold all other state, which is what makes
+#: sharing them across simulator instances safe.
 #:
-#: Values are ``(kernels, token, content key)``: the token is a
+#: Values are ``(compiled, token, content key)``: the token is a
 #: process-unique integer naming this compiled netlist.  Downstream
 #: memoization (the hardware estimator's exact-state run memo) keys on
 #: the token instead of re-hashing the gate list; tokens are never
@@ -71,11 +109,15 @@ _CHUNK_SIZE = 320
 #: out.  The stored content key is adopted by equal netlists that hit
 #: (see :meth:`CompiledSimulator._compile_cached`).  At most 64
 #: netlists stay compiled (LRU eviction).
-_COMPILE_CACHE: LruCache[Tuple[List, int, NetlistKey]] = LruCache(capacity=64)
+_COMPILE_CACHE: LruCache[Tuple[_Compiled, int, NetlistKey]] = LruCache(capacity=64)
 
 _NEXT_NETLIST_TOKEN = 0
 
 COMPILE_CACHE_STATS = _COMPILE_CACHE.stats
+
+#: Globals of every kernel, which reads only locals, parameters and
+#: flag cells.
+_KERNEL_GLOBALS: Dict[str, object] = {"__builtins__": builtins}
 
 
 def clear_compile_cache() -> None:
@@ -84,31 +126,61 @@ def clear_compile_cache() -> None:
 
 
 #: One toggle test, formatted with the new value's expression, the local
-#: holding the driven net, the net and the cell name (a parameter bound
-#: to the cell's switching energy).  Nets are single bits, so a changed
-#: net is the complement of its old value.
-_TOGGLE = "  if {0} != {1}: {1} ^= 1; v[{2}] = {1}; e += {3}; n += 1"
+#: holding the driven net, the net, the cell name (a parameter bound to
+#: the cell's switching energy) and the fanout marks.  Nets are single
+#: bits, so a changed net is the complement of its old value.
+_TOGGLE = "if {0} != {1}: {1} ^= 1; v[{2}] = {1}; e += {3}; n += 1{4}"
 
 
 def _kernel(
-    name: str, local_of: Dict[int, str], body: List[str], energies: Dict[str, float]
-) -> Callable:
-    """Compile one kernel generator function.
+    name: str,
+    local_of: Dict[int, str],
+    own: Sequence[int],
+    touched: Sequence[int],
+    body: List[str],
+    energies: Dict[str, float],
+) -> _KernelCode:
+    """Compile one kernel generator function, called as ``(v, dirty)``.
 
-    It loads the nets in ``local_of`` into their locals, then runs
-    ``body`` once per value sent in and yields ``(e, n)``.  Cell
-    energies are parameter defaults named after the cell (read as
-    locals), not float literals: parsing thousands of float literals is
-    a large share of the ``exec`` time.
+    It loads the nets in ``local_of`` into their locals and, if
+    ``dirty``, sets the flags of the gates at positions ``own``; then it
+    runs ``body`` once per value sent in and yields ``(e, n)``.  Flag
+    ``gI`` belongs to the gate at position I; the kernel declares only
+    the ``touched`` flags, as free variables (parameters of an
+    enclosing function that is compiled but never run).  Cell energies
+    are parameters named after the cell (read as locals), not float
+    literals: parsing thousands of float literals is a large share of
+    the compile time.
     """
-    namespace: Dict[str, object] = dict(energies, NETS=tuple(local_of))
-    lines = ["def %s(v, %s):" % (
-        name, ", ".join("%s=%s" % (cell, cell) for cell in energies))]
-    if local_of:
-        lines.append(" %s, = map(v.__getitem__, NETS)" % ", ".join(local_of.values()))
-    lines += [" e = yield", " while True:", "  n = 0", *body, "  e = yield e, n"]
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated by us
-    return namespace[name]  # type: ignore[return-value]
+    flags = ", ".join("g%d" % index for index in touched)
+    lines = [
+        "def _flags(%s):" % flags,
+        " def %s(v, dirty, NETS, %s):" % (name, ", ".join(energies)),
+    ]
+    if touched:
+        lines.append("  nonlocal " + flags)
+    # ``e`` and ``n`` come first, so they get one-byte local indices.
+    lines.append("  e = n = 0")
+    if len(local_of) > 1:
+        lines.append("  %s, = NETS(v)" % ", ".join(local_of.values()))
+    elif local_of:
+        lines.append("  %s = NETS(v)" % (*local_of.values(),))
+    if own:
+        lines.append("  if dirty: %s = True" % " = ".join("g%d" % i for i in own))
+    lines += ["  e = yield", "  while True:", "   n = 0"]
+    lines += ["   " + line for line in body]
+    lines.append("   e = yield e, n")
+    module = compile("\n".join(lines), "<%s>" % name, "exec")
+    code = next(
+        const
+        for outer in module.co_consts if isinstance(outer, CodeType)
+        for const in outer.co_consts if isinstance(const, CodeType)
+    )
+    return _KernelCode(
+        code,
+        (itemgetter(*local_of) if local_of else None, *energies.values()),
+        tuple(int(flag[1:]) for flag in code.co_freevars),
+    )
 
 
 class CompiledSimulator:
@@ -140,12 +212,18 @@ class CompiledSimulator:
             pi_energy_j if pi_energy_j is not None else buf.switch_energy(self.library.vdd)
         )
         self._clock_energy = DFF_CLOCK_ENERGY_J * netlist.dff_count
-        self._kernels, self.netlist_token = self._compile_cached()
+        self._compiled, self.netlist_token = self._compile_cached()
+        #: This simulator's flags, one cell per gate by netlist position,
+        #: and the kernels bound to them; made by the first :meth:`_start`.
+        self._flags: List[CellType] = []
+        self._kernels: List[Callable] = []
         #: ``send`` of the running latch generator and of the running
         #: chunk generators; ``None`` when their locals are stale (see
         #: :meth:`load`).
         self._latch_send: Optional[Callable] = None
         self._chunk_sends: List[Callable] = []
+        #: Whether the next start flags every gate (see :meth:`load`).
+        self._dirty = True
         self.values: List[int] = []
         self.cycle = 0
         self.total_energy = 0.0
@@ -154,7 +232,7 @@ class CompiledSimulator:
 
     # -- construction ---------------------------------------------------------
 
-    def _compile_cached(self) -> Tuple[List[Callable], int]:
+    def _compile_cached(self) -> Tuple[_Compiled, int]:
         """Compiled kernels plus netlist token, cached.
 
         Freezing checks the netlist once and takes its content key; a
@@ -168,19 +246,19 @@ class CompiledSimulator:
         metrics = self.telemetry.metrics
         if entry is not None:
             metrics.counter("hw.compile_cache.hits").inc()
-            kernels, token, stored_key = entry
+            compiled, token, stored_key = entry
             # An equal netlist (other flip-flop inits) compiled first:
             # share its key object, so the next lookup matches by
             # identity instead of comparing every gate.
             netlist.content_key = stored_key
-            return kernels, token
+            return compiled, token
         metrics.counter("hw.compile_cache.misses").inc()
         _NEXT_NETLIST_TOKEN += 1
-        kernels = self._compile()
-        _COMPILE_CACHE.put(key, (kernels, _NEXT_NETLIST_TOKEN, content_key))
-        return kernels, _NEXT_NETLIST_TOKEN
+        compiled = self._compile()
+        _COMPILE_CACHE.put(key, (compiled, _NEXT_NETLIST_TOKEN, content_key))
+        return compiled, _NEXT_NETLIST_TOKEN
 
-    def _compile(self) -> List[Callable]:
+    def _compile(self) -> _Compiled:
         """Generator functions: the clock edge, then one per gate chunk.
 
         Every kernel keeps the nets it drives in locals, loaded from
@@ -188,7 +266,10 @@ class CompiledSimulator:
         cycle's running energy; the kernel adds the energy of its
         toggles in netlist order and yields it with its toggle count.
         ``v`` is written on every toggle, keeping it authoritative for
-        the estimator, the ports and the other kernels.
+        the estimator, the ports and the other kernels, and every toggle
+        marks the gates reading the toggled net.  A chunk kernel runs a
+        gate only while its flag is set, and clears the flag before
+        evaluating it.
         """
         library = self.library
 
@@ -198,64 +279,131 @@ class CompiledSimulator:
                 for cell in sorted(cells)
             }
 
+        gates = self.netlist.gates
+        # Positions of the gates reading each net.
+        readers: Dict[int, List[int]] = {}
+        for index, gate in enumerate(gates):
+            for net in dict.fromkeys(gate.inputs):
+                readers.setdefault(net, []).append(index)
+
+        def marks(net: int) -> str:
+            marked = readers.get(net)
+            if not marked:
+                return ""
+            return "; %s = True" % " = ".join("g%d" % index for index in marked)
+
         dffs = self.netlist.dffs
         # Clock edge: Q follows the settled D.  A D net that is itself
         # a Q net is snapshotted first, so DFF chains latch the pre-edge
         # state; every other D net is unaffected by Q writes.
         q_local = {dff.q: "q%d" % dff.q for dff in dffs}
         snapshots = sorted({dff.d for dff in dffs if dff.d in q_local})
-        edge = ["  s%d = q%d" % (net, net) for net in snapshots]
+        edge = ["s%d = q%d" % (net, net) for net in snapshots]
         for dff in dffs:
             d = "s%d" % dff.d if dff.d in q_local else "v[%d]" % dff.d
-            edge.append(_TOGGLE.format(d, q_local[dff.q], dff.q, "DFF"))
-        kernels = [_kernel("_latch", q_local, edge, energies({"DFF"}))]
+            edge.append(_TOGGLE.format(d, q_local[dff.q], dff.q, "DFF", marks(dff.q)))
+        latch_marks = dict.fromkeys(r for dff in dffs for r in readers.get(dff.q, ()))
+        kernels = [_kernel(
+            "_latch", q_local, (), list(latch_marks), edge, energies({"DFF"})
+        )]
 
-        gates = self.netlist.gates
         for start in range(0, len(gates), _CHUNK_SIZE):
             chunk = gates[start:start + _CHUNK_SIZE]
             t_local = {gate.output: "t%d" % gate.output for gate in chunk}
+            own = range(start, start + len(chunk))
+            touched = dict.fromkeys(own)
             body = []
-            for gate in chunk:
-                operands = [
-                    t_local.get(net) or "v[%d]" % net for net in gate.inputs
-                ]
-                body.append(_TOGGLE.format(
+            for index, gate in zip(own, chunk):
+                out = gate.output
+                operands = [t_local.get(net) or "v[%d]" % net for net in gate.inputs]
+                toggle = _TOGGLE.format(
                     _GATE_EXPR[gate.cell].format(*operands),
-                    t_local[gate.output], gate.output, gate.cell,
-                ))
+                    t_local[out], out, gate.cell, marks(out),
+                )
+                body += ["if g%d:" % index, " g%d = False" % index, " " + toggle]
+                touched.update(dict.fromkeys(readers.get(out, ())))
             kernels.append(_kernel(
-                "_chunk", t_local, body, energies({gate.cell for gate in chunk})
+                "_chunk", t_local, own, list(touched), body,
+                energies({gate.cell for gate in chunk}),
             ))
-        return kernels
+        undriven = [dff.q for dff in dffs]
+        for nets in self.netlist.input_ports.values():
+            undriven += nets
+        return _Compiled(
+            tuple(kernels), {net: tuple(readers.get(net, ())) for net in undriven}
+        )
 
     # -- state ------------------------------------------------------------------
 
-    def load(self, values: Sequence[int], nets: Optional[Sequence[int]] = None) -> None:
+    def load(
+        self,
+        values: Sequence[int],
+        nets: Optional[Sequence[int]] = None,
+        settled: bool = False,
+    ) -> None:
         """Overwrite net state out of band, charging no energy.
 
         With ``nets`` omitted ``values`` replaces every net's value;
         otherwise ``values[i]`` is written to net ``nets[i]``.  The
         kernels' locals go stale and are reloaded from ``values`` at the
-        next evaluation.  Combinational nets are not re-evaluated: call
-        :meth:`settle` when the written nets feed logic.
+        next evaluation.  Combinational nets are not re-evaluated before
+        that: call :meth:`settle` when the written nets feed logic.
+
+        After a full load the next evaluation runs every gate, unless
+        ``settled`` declares that every gate output in ``values``
+        already follows its inputs, as in a state that a step or a
+        settle left; a wrong declaration gives wrong energies, not an
+        error.  After a partial load it runs the gates reading each
+        flip-flop output or primary input whose value changed, or every
+        gate if the load changed a gate's output; a partial load that
+        changes nothing leaves the kernels running.
         """
         if nets is None:
             self.values[:] = values
-        else:
-            current = self.values
-            for net, value in zip(nets, values):
+            self._dirty = not settled
+            self._latch_send = None
+            return
+        current = self.values
+        readers = self._compiled.readers
+        flags = self._flags
+        for net, value in zip(nets, values):
+            if current[net] != value:
                 current[net] = value
-        self._latch_send = None
+                self._latch_send = None
+                marked = readers.get(net)
+                if marked is None:
+                    self._dirty = True
+                elif flags:
+                    for index in marked:
+                        flags[index].cell_contents = True
 
     def _start(self) -> Callable:
-        """Start the kernels from ``values``; returns the latch ``send``."""
+        """Start the kernels from ``values``; returns the latch ``send``.
+
+        Every gate is flagged after a full load that was not declared
+        settled, and on the first start, which binds the kernels.
+        """
+        kernels = self._kernels
+        if not kernels:
+            # A gate's cell is shared by every kernel that reads or marks
+            # the gate.
+            flags = self._flags = list(
+                map(CellType, repeat(True, self.netlist.gate_count))
+            )
+            kernels[:] = [
+                FunctionType(
+                    kernel.code, _KERNEL_GLOBALS, kernel.code.co_name,
+                    kernel.defaults, tuple(map(flags.__getitem__, kernel.flags)),
+                )
+                for kernel in self._compiled.kernels
+            ]
         sends = []
-        for kernel in self._kernels:
-            generator = kernel(self.values)
+        for kernel in kernels:
+            generator = kernel(self.values, self._dirty)
             next(generator)
             sends.append(generator.send)
-        self._latch_send = sends[0]
         self._chunk_sends = sends[1:]
+        self._latch_send = sends[0]
         return sends[0]
 
     # -- simulation -------------------------------------------------------------
@@ -279,7 +427,7 @@ class CompiledSimulator:
             self.settle()
             netlist.reset_values = tuple(self.values)
         else:
-            self.load(settled)
+            self.load(settled, settled=True)
         self.cycle = 0
         self.total_energy = 0.0
         self.total_toggles = 0
@@ -317,6 +465,8 @@ class CompiledSimulator:
         # New primary-input values for this cycle.
         if inputs:
             v = self.values
+            readers = self._compiled.readers
+            flags = self._flags
             for name, value in inputs.items():
                 for index, net in enumerate(input_ports[name]):
                     bit = (value >> index) & 1
@@ -324,6 +474,8 @@ class CompiledSimulator:
                         energy += self.pi_energy_j
                         toggles += 1
                         v[net] = bit
+                        for reader in readers[net]:
+                            flags[reader].cell_contents = True
 
         # One running gate-energy sum, in netlist order, across chunks.
         gate_energy = 0.0

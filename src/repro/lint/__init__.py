@@ -19,73 +19,8 @@ Layers:
   (cycle, energy, and cache-table bounds) consumed by the service's
   cost-aware admission control;
 * :mod:`repro.lint.passes` — the pass manager tying it together.
+
+The package re-exports nothing: import from the submodules.  The
+network rules run on every system build (``validate_network``), and
+importing the package must not pull in the analyzer behind them.
 """
-
-from repro.lint.absint import (
-    Interval,
-    abstract_eval,
-    abstract_netlist_values,
-    compute_var_intervals,
-    netlist_energy_bound,
-)
-from repro.lint.baseline import (
-    Baseline,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.diagnostics import (
-    RULES,
-    Diagnostic,
-    Location,
-    Rule,
-    Severity,
-    exit_code,
-    max_severity,
-    rule,
-    sort_diagnostics,
-)
-from repro.lint.emitters import (
-    EMITTERS,
-    render_json,
-    render_sarif,
-    render_text,
-    sarif_report,
-)
-from repro.lint.cost import CostReport, compute_cost_report
-from repro.lint.passes import PASSES, LintPass, LintResult, run_lint
-from repro.lint.paths import CacheabilityReport, cacheability_report
-
-__all__ = [
-    "Baseline",
-    "BaselineError",
-    "CacheabilityReport",
-    "CostReport",
-    "Diagnostic",
-    "EMITTERS",
-    "Interval",
-    "LintPass",
-    "LintResult",
-    "Location",
-    "PASSES",
-    "RULES",
-    "Rule",
-    "Severity",
-    "abstract_eval",
-    "abstract_netlist_values",
-    "cacheability_report",
-    "compute_cost_report",
-    "compute_var_intervals",
-    "exit_code",
-    "load_baseline",
-    "max_severity",
-    "netlist_energy_bound",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "rule",
-    "run_lint",
-    "sarif_report",
-    "sort_diagnostics",
-    "write_baseline",
-]

@@ -191,23 +191,27 @@ class RequestFrontend:
         honest — the trace id lands on the response, the SLO tracker
         and latency histogram see every terminal status, the lifecycle
         event is recorded under the request's context, and any
-        server-side failure (5xx) triggers a flight-recorder dump.
+        server-side failure (5xx) triggers a flight-recorder dump.  The
+        answer is released last, so a client that has it finds the
+        event and the dump already written.
         """
         headers = dict(headers or {})
         headers.setdefault("X-Trace-Id", entry.context.trace_id)
-        entry.pending.resolve(status, body, headers)
         latency_s = self.clock() - entry.admitted_at
-        self.obs.record_outcome(status, latency_s)
-        with use_context(entry.context):
-            if event is not None:
-                self.obs.event(
-                    event, status=status,
-                    latency_s=round(latency_s, 6), **event_fields
-                )
-            # 503 is routine backpressure (shed / draining) — not a
-            # postmortem; the drain path writes its own single dump.
-            if status >= 500 and status != 503:
-                self.obs.dump_flight(str(body.get("reason") or status))
+        try:
+            self.obs.record_outcome(status, latency_s)
+            with use_context(entry.context):
+                if event is not None:
+                    self.obs.event(
+                        event, status=status,
+                        latency_s=round(latency_s, 6), **event_fields
+                    )
+                # 503 is routine backpressure (shed / draining) — not a
+                # postmortem; the drain path writes its own single dump.
+                if status >= 500 and status != 503:
+                    self.obs.dump_flight(str(body.get("reason") or status))
+        finally:
+            entry.pending.resolve(status, body, headers)
 
     def reject(self, entry: Entry, reason: str, event: str = EVENT_REJECTED,
                headers: Optional[Dict[str, str]] = None,
@@ -218,16 +222,20 @@ class RequestFrontend:
             request_id=entry.request.request_id, **extra),
             headers=headers, event=event, reason=reason)
 
+    def fail(self, entry: Entry, status: int, body: Dict[str, Any],
+             **event_fields: Any) -> None:
+        """Count one failed estimate and resolve it with ``status``."""
+        with self._lock:
+            self._failed += 1
+        self._count("service.failed")
+        self.resolve(entry, status, body, event=EVENT_FAILED, **event_fields)
+
     def finish(self, entry: Entry, status: int, body: Dict[str, Any],
                run_s: float, **event_fields: Any) -> None:
         """Account one estimate that ran, and resolve it with its
         answer: 200, or the failure ``status``."""
         if status != 200:
-            with self._lock:
-                self._failed += 1
-            self._count("service.failed")
-            self.resolve(entry, status, body, event=EVENT_FAILED,
-                         **event_fields)
+            self.fail(entry, status, body, **event_fields)
             return
         provenance: Dict[str, int] = body.get("provenance") or {}
         degraded = bool(body.get("degraded"))

@@ -23,7 +23,8 @@ from repro.core.caching import CachingStrategy, EnergyCacheConfig
 from repro.core.macromodel import MacroModelCharacterizer
 from repro.hw.logicsim import CompiledSimulator
 from repro.hw.synth import synthesize_cfsm_cached
-from repro.lint import cacheability_report, compute_cost_report
+from repro.lint.cost import compute_cost_report
+from repro.lint.paths import cacheability_report
 from repro.lint.absint import abstract_netlist_values, netlist_energy_bound
 from repro.systems import build_bundle, system_names
 

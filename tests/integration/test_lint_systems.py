@@ -26,13 +26,9 @@ from repro.core import PowerCoEstimator
 from repro.core.caching import CachingStrategy, EnergyCacheConfig
 from repro.core.macromodel import MacroCost, ParameterFile
 from repro.hw.netlist import Gate, Netlist
-from repro.lint import (
-    cacheability_report,
-    render_json,
-    render_sarif,
-    render_text,
-    run_lint,
-)
+from repro.lint.emitters import render_json, render_sarif, render_text
+from repro.lint.passes import run_lint
+from repro.lint.paths import cacheability_report
 from repro.systems import automotive, producer_consumer, tcpip
 from repro.systems.tcpip import HEADER_CHECKSUM
 

@@ -6,12 +6,13 @@
 request through the same lifecycle (:mod:`repro.service.frontend`).
 Each case below runs against both: coalescing, the trace-id header,
 the ``request.completed`` event, the per-provenance energy-answer
-metric, the flight-recorder dump on a 5xx, and the 503 while draining.
+metric, the flight-recorder dump on a 5xx, failure accounting, and the
+503 while draining.  The event and the dump are in place when the
+answer is released.
 """
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs import labeled
 from repro.obs.names import (
     EVENT_COALESCED,
     EVENT_COMPLETED,
+    EVENT_FAILED,
     METRIC_ENERGY_ANSWERS,
 )
 from repro.service import CoEstimationService, ServiceConfig, ServiceRejected
@@ -132,15 +134,10 @@ def backend(request, monkeypatch, tmp_path):
     instance.close()
 
 
-def answered(backend, pending):
-    """Wait for the answer, then for the backend to finish the request:
-    its event and flight dump are written after the answer is released,
-    and its fingerprint is released last."""
+def answered(pending):
+    """Wait for the answer: the lifecycle event and any flight dump are
+    written before it is released."""
     assert pending.wait(10.0)
-    deadline = time.monotonic() + 10.0
-    while backend.frontend.dedup.snapshot()["inflight"] \
-            and time.monotonic() < deadline:
-        time.sleep(0.01)
     return pending
 
 
@@ -160,7 +157,7 @@ def test_identical_in_flight_requests_coalesce(backend):
     pending, primary_coalesced = primary["result"]
     assert not primary_coalesced
     assert follower is pending
-    assert answered(backend, pending).status == 200
+    assert answered(pending).status == 200
     assert backend.runs == 1
     assert backend.frontend.dedup.snapshot()["coalesced"] == 1
     [event] = recorded(backend.frontend, EVENT_COALESCED)
@@ -169,14 +166,14 @@ def test_identical_in_flight_requests_coalesce(backend):
 
 def test_answer_carries_the_trace_id(backend):
     pending, _ = backend.frontend.submit(make_request())
-    trace_id = answered(backend, pending).headers["X-Trace-Id"]
+    trace_id = answered(pending).headers["X-Trace-Id"]
     assert trace_id == pending.trace_id
     assert len(trace_id) == 32
 
 
 def test_completed_event_is_recorded_under_the_trace(backend):
     pending, _ = backend.frontend.submit(make_request())
-    answered(backend, pending)
+    answered(pending)
     [event] = recorded(backend.frontend, EVENT_COMPLETED)
     assert event["trace_id"] == pending.trace_id
     assert event["status"] == 200
@@ -186,7 +183,7 @@ def test_completed_event_is_recorded_under_the_trace(backend):
 
 def test_energy_answers_are_counted_per_provenance(backend):
     pending, _ = backend.frontend.submit(make_request())
-    answered(backend, pending)
+    answered(pending)
     counters = backend.frontend.telemetry.metrics.snapshot()["counters"]
     for level, count in PROVENANCE.items():
         name = labeled(METRIC_ENERGY_ANSWERS, system="fig1",
@@ -199,12 +196,29 @@ def test_energy_answers_are_counted_per_provenance(backend):
 def test_server_error_dumps_the_flight_recorder(backend, tmp_path):
     backend.broken = True
     pending, _ = backend.frontend.submit(make_request())
-    assert answered(backend, pending).status in (500, 502)
+    assert answered(pending).status in (500, 502)
     dumps = [name for name in os.listdir(str(tmp_path))
              if name.startswith("flightrecorder-")]
     assert len(dumps) == 1
     assert pending.body["reason"] in dumps[0]
     assert backend.frontend.obs.recorder.dumps == 1
+
+
+def test_failed_estimate_is_counted_in_stats(backend):
+    # The coordinator's 502 after its re-dispatch budget and the
+    # service's 500 both count as failed, with a request.failed event.
+    backend.broken = True
+    pending, _ = backend.frontend.submit(make_request())
+    assert answered(pending).status in (500, 502)
+    section = {ServiceBackend: "service", CoordinatorBackend: "cluster"}
+    stats = backend.frontend.stats_snapshot()[section[type(backend)]]
+    assert stats["failed"] == 1
+    assert stats["completed"] == 0
+    [event] = recorded(backend.frontend, EVENT_FAILED)
+    assert event["trace_id"] == pending.trace_id
+    assert event["status"] == pending.status
+    counters = backend.frontend.telemetry.metrics.snapshot()["counters"]
+    assert counters["service.failed"] == 1
 
 
 def test_draining_frontend_refuses_with_503(backend):

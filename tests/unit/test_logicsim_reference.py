@@ -7,7 +7,8 @@ after the clock edge, and gate energies are summed as one running float
 in netlist order and added once to the clock + flip-flop + input
 subtotal.  ``CompiledSimulator`` must reproduce its per-cycle energies
 exactly (float equality), its toggle counts and its net values, also
-across out-of-band writes.
+across out-of-band writes, and also when it skips the gates whose inputs
+did not change (sparse stimuli).
 """
 
 import random
@@ -20,7 +21,7 @@ from repro.cfsm.builder import CfsmBuilder
 from repro.hw import logicsim
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
 from repro.hw.logicsim import CompiledSimulator
-from repro.hw.netlist import CONST1, Dff, Gate, Netlist
+from repro.hw.netlist import CONST1, Dff, Gate, Netlist, NetlistBuilder
 from repro.hw.synth import clear_synth_cache, synthesize_cfsm_cached
 from repro.systems import build_bundle, tcpip
 
@@ -128,17 +129,46 @@ def assert_same_step(sim, ref, inputs, context):
     assert sim.values == ref.values, context
 
 
-def drive(netlist, seed, cycles, interleave=False):
+class SparseInputs:
+    """Inputs held for random stretches, one bit flipped at a time.
+
+    Most gates then see no input change for many cycles, so the
+    compiled kernel skips them.
+    """
+
+    def __init__(self, netlist, rng):
+        self.rng = rng
+        self.widths = {name: len(nets)
+                       for name, nets in sorted(netlist.input_ports.items())}
+        self.current = random_inputs(netlist, rng)
+        self.hold = 0
+
+    def __call__(self, netlist, rng):
+        if self.hold:
+            self.hold -= 1
+        elif self.widths:
+            name = self.rng.choice(sorted(self.widths))
+            self.current[name] ^= 1 << self.rng.randrange(self.widths[name])
+            self.hold = self.rng.randrange(1, 16)
+        return dict(self.current)
+
+
+def drive(netlist, seed, cycles, interleave=False, sparse=False,
+          settled_restores=False):
     """Step both simulators under seeded random stimuli and compare.
 
     With ``interleave``, out-of-band writes land between steps the way
     the hardware estimator issues them: a register poke followed by a
     settle, a poke without a settle, a memo-style restore of a full
-    earlier snapshot, and a reset.
+    earlier snapshot, and a reset.  ``settled_restores`` declares the
+    restored snapshots settled, as the estimator's memo replay does
+    (each was taken after a step).  ``sparse`` drives
+    :class:`SparseInputs` instead of new random inputs every cycle.
     """
     rng = random.Random(seed)
     sim = CompiledSimulator(netlist)
     ref = ReferenceSimulator(netlist)
+    inputs = SparseInputs(netlist, rng) if sparse else random_inputs
     assert sim.values == ref.values
     snapshots = []
     q_nets = [dff.q for dff in netlist.dffs]
@@ -165,13 +195,13 @@ def drive(netlist, seed, cycles, interleave=False):
                 snapshots.append(list(sim.values))
             elif action == 3 and snapshots:
                 snapshot = rng.choice(snapshots)
-                sim.load(snapshot)
+                sim.load(snapshot, settled=settled_restores)
                 ref.values[:] = snapshot
             elif action == 4 and rng.random() < 0.2:
                 sim.reset()
                 ref.reset()
             assert sim.values == ref.values, context
-        assert_same_step(sim, ref, random_inputs(netlist, rng), context)
+        assert_same_step(sim, ref, inputs(netlist, rng), context)
 
 
 def bundled_netlist(system, process):
@@ -199,11 +229,102 @@ class TestBundledNetlists:
         drive(bundled_netlist(system, process), seed=0x5E, cycles=150,
               interleave=True)
 
+    @pytest.mark.parametrize("system,process", BUNDLED)
+    def test_matches_reference_under_sparse_stimuli(self, system, process):
+        drive(bundled_netlist(system, process), seed=0x5A, cycles=300,
+              sparse=True)
+
+    @pytest.mark.parametrize("system,process", BUNDLED)
+    def test_sparse_stimuli_across_settled_restores(self, system, process):
+        drive(bundled_netlist(system, process), seed=0x5B, cycles=200,
+              interleave=True, sparse=True, settled_restores=True)
+
+    def test_sparse_stimuli_with_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(logicsim, "_CHUNK_SIZE", 7)
+        drive(bundled_netlist("tcpip", "checksum"), seed=0x5C, cycles=200,
+              interleave=True, sparse=True, settled_restores=True)
+
     def test_checksum_spans_several_chunks(self):
         # The cross-chunk running energy sum is only exercised by a
         # netlist larger than one chunk.
         netlist = bundled_netlist("tcpip", "checksum")
         assert len(netlist.gates) > 2 * logicsim._CHUNK_SIZE
+
+
+class TestOutOfBandWrites:
+    """A load re-evaluates exactly what it may have made inconsistent."""
+
+    @staticmethod
+    def settled_pair(netlist, seed=11, cycles=8):
+        sim, ref = CompiledSimulator(netlist), ReferenceSimulator(netlist)
+        rng = random.Random(seed)
+        inputs = random_inputs(netlist, rng)
+        for cycle in range(cycles):
+            inputs = random_inputs(netlist, rng)
+            assert_same_step(sim, ref, inputs, "warm-up %d" % cycle)
+        return sim, ref, inputs
+
+    def test_wrong_value_on_a_quiet_gate_net_is_re_evaluated(self):
+        # An AND gate whose inputs hold: its driven net is loaded with
+        # the wrong value, so only re-running that gate restores it.
+        builder = NetlistBuilder("quiet")
+        a, b = builder.input_bus("a", 1)[0], builder.input_bus("b", 1)[0]
+        both = builder.gate("AND2", a, b)
+        builder.output_bus("y", [builder.gate("INV", both)])
+        netlist = builder.build()
+        sim, ref = CompiledSimulator(netlist), ReferenceSimulator(netlist)
+        assert_same_step(sim, ref, {"a": 1, "b": 1}, "settle")
+        assert_same_step(sim, ref, {"a": 1, "b": 1}, "quiet")
+        sim.load([0], [both])
+        ref.values[both] = 0
+        assert_same_step(sim, ref, {"a": 1, "b": 1}, "after the load")
+        assert sim.values[both] == 1
+        assert sim.peek("y") == 0
+
+    def test_wrong_value_on_any_checksum_gate_net(self):
+        netlist = bundled_netlist("tcpip", "checksum")
+        sim, ref, inputs = self.settled_pair(netlist)
+        for index, gate in enumerate(netlist.gates[::97]):
+            wrong = 1 - sim.values[gate.output]
+            sim.load([wrong], [gate.output])
+            ref.values[gate.output] = wrong
+            assert_same_step(sim, ref, inputs, "gate %d" % index)
+
+    def test_poke_that_changes_nothing_keeps_the_kernels(self):
+        netlist = bundled_netlist("tcpip", "checksum")
+        sim, ref, inputs = self.settled_pair(netlist)
+        q_nets = [dff.q for dff in netlist.dffs]
+        running = sim._latch_send
+        sim.load([sim.values[net] for net in q_nets], q_nets)
+        sim.settle()
+        assert sim._latch_send is running
+        assert_same_step(sim, ref, inputs, "after the poke")
+
+    def test_full_load_of_an_unsettled_state(self):
+        # Random net values: no gate output follows its inputs, so a
+        # load not declared settled must re-run every gate.
+        netlist = bundled_netlist("tcpip", "checksum")
+        sim, ref, inputs = self.settled_pair(netlist)
+        rng = random.Random(13)
+        state = [rng.getrandbits(1) for _ in range(netlist.num_nets)]
+        state[:CONST1 + 1] = [0, 1]
+        sim.load(state)
+        ref.values[:] = state
+        assert_same_step(sim, ref, inputs, "after the load")
+
+    def test_settled_restore_of_an_earlier_state(self):
+        netlist = bundled_netlist("tcpip", "checksum")
+        sim, ref, _ = self.settled_pair(netlist)
+        snapshot = bytes(sim.values)
+        rng = random.Random(12)
+        for cycle in range(6):
+            assert_same_step(sim, ref, random_inputs(netlist, rng),
+                             "drift %d" % cycle)
+        sim.load(snapshot, settled=True)
+        ref.values[:] = snapshot
+        for cycle in range(20):
+            assert_same_step(sim, ref, random_inputs(netlist, rng),
+                             "restored %d" % cycle)
 
 
 class TestSharedCompileCache:
@@ -344,5 +465,25 @@ class TestGeneratedNetlists:
         logicsim._CHUNK_SIZE = 7
         try:
             drive(netlist, seed, cycles=24, interleave=True)
+        finally:
+            logicsim._CHUNK_SIZE = chunk_size
+
+    @given(hw_bodies(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_under_sparse_stimuli(self, body, seed, interleave):
+        netlist = synthesize_cfsm_cached(build_cfsm(list(body))).netlist
+        drive(netlist, seed, cycles=48, interleave=interleave, sparse=True,
+              settled_restores=True)
+
+    @given(hw_bodies(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_sparse_stimuli_with_small_chunks(self, body, seed):
+        netlist = synthesize_cfsm_cached(build_cfsm(list(body))).netlist
+        assume(len(netlist.gates) > 7)
+        chunk_size = logicsim._CHUNK_SIZE
+        logicsim._CHUNK_SIZE = 7
+        try:
+            drive(netlist, seed, cycles=48, interleave=True, sparse=True,
+                  settled_restores=True)
         finally:
             logicsim._CHUNK_SIZE = chunk_size
