@@ -16,6 +16,8 @@
   exploration (Section 5.3).
 """
 
+import importlib
+
 from repro.core.strategy import Estimate, EstimationJob, EstimationStrategy, FullStrategy
 from repro.core.caching import (
     CachingStrategy,
@@ -24,21 +26,35 @@ from repro.core.caching import (
     WarmStartCache,
     system_fingerprint,
 )
-from repro.core.macromodel import (
-    MacroModelCharacterizer,
-    MacromodelStrategy,
-    ParameterFile,
-)
-from repro.core.sampling import KMemoryCompactor, SamplingStrategy, StaticCompactor
 from repro.core.report import EnergyReport
 from repro.core.coestimator import CoEstimationResult, PowerCoEstimator
 from repro.core.separate import SeparateEstimator
-from repro.core.explorer import (
-    DesignPoint,
-    DesignSpaceExplorer,
-    PartitionExplorer,
-    PartitionPoint,
-)
+
+#: Names whose modules load on first access (PEP 562): an estimate
+#: under the full or caching strategy never explores, samples or
+#: macro-models, so it does not pay for importing those modules.
+_LAZY = {
+    "MacroModelCharacterizer": "repro.core.macromodel",
+    "MacromodelStrategy": "repro.core.macromodel",
+    "ParameterFile": "repro.core.macromodel",
+    "SamplingStrategy": "repro.core.sampling",
+    "KMemoryCompactor": "repro.core.sampling",
+    "StaticCompactor": "repro.core.sampling",
+    "DesignSpaceExplorer": "repro.core.explorer",
+    "DesignPoint": "repro.core.explorer",
+    "PartitionExplorer": "repro.core.explorer",
+    "PartitionPoint": "repro.core.explorer",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Estimate",

@@ -19,21 +19,18 @@ first reaches them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.cfsm.events import Event
 from repro.cfsm.model import Network
 from repro.core.caching import CachingStrategy, EnergyCacheConfig
-from repro.core.macromodel import (
-    MacroModelCharacterizer,
-    MacromodelStrategy,
-    ParameterFile,
-)
 from repro.core.report import EnergyReport
-from repro.core.sampling import SamplingStrategy
 from repro.core.strategy import EstimationStrategy, FullStrategy
 from repro.master.master import MasterConfig, SimulationMaster
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.core.macromodel import ParameterFile
 
 
 @dataclass
@@ -64,6 +61,8 @@ class PowerCoEstimator:
     def parameter_file(self) -> ParameterFile:
         """The characterized software macro-model library (lazy)."""
         if self._parameter_file is None:
+            from repro.core.macromodel import MacroModelCharacterizer
+
             characterizer = MacroModelCharacterizer(self.config.power_model)
             self._parameter_file = characterizer.characterize()
         return self._parameter_file
@@ -80,11 +79,16 @@ class PowerCoEstimator:
             return FullStrategy()
         if spec == "caching":
             return CachingStrategy(EnergyCacheConfig())
+        # The macro-model and sampling modules load only when asked for.
         if spec == "macromodel":
+            from repro.core.macromodel import MacromodelStrategy
+
             return MacromodelStrategy(
                 self.parameter_file(), library=self.config.library
             )
         if spec == "sampling":
+            from repro.core.sampling import SamplingStrategy
+
             return SamplingStrategy()
         raise ValueError(
             "unknown strategy %r (choose from %s)" % (spec, self.STRATEGIES)

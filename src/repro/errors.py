@@ -72,3 +72,12 @@ class ReproError(Exception):
             "%s=%r" % (key, context[key]) for key in sorted(context)
         )
         return "%s [%s]" % (message, rendered) if message else "[%s]" % rendered
+
+
+class EstimatorUnavailable(ReproError):
+    """A component estimator failed persistently (retries exhausted).
+
+    Raised by the resilience supervisor and caught by the simulation
+    master, which is why it lives in this leaf module: the master can
+    name it without loading the supervisor.
+    """

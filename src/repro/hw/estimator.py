@@ -109,6 +109,9 @@ class HardwarePowerSimulator:
             (event, output_ports[port][0])
             for event, port in sorted(self.block.strobe_ports.items())
         ]
+        self._strobe_nets: Tuple[int, ...] = tuple(
+            net for _, net in self._strobe_watch
+        )
         self._done_net: int = output_ports["done"][0]
         # Nets that fully determine a run: all flip-flop outputs plus
         # all primary-input nets (unmentioned input ports hold their
@@ -266,37 +269,46 @@ class HardwarePowerSimulator:
             raise KeyError(
                 "CFSM %r has no transition %r" % (self.cfsm.name, transition_name)
             )
-        result = HwRunResult()
-        inputs: Dict[str, int] = {self.block.go_ports[transition_name]: 1}
+        go = self.block.go_ports[transition_name]
+        # Ports not given hold their values: only cycle 1 raises ``go``,
+        # only cycle 2 drops it, and the data-in port changes only in the
+        # cycle after a read strobe; every other cycle passes ``None``.
+        inputs: Optional[Dict[str, int]] = {go: 1}
         mask = (1 << self.cfsm.width) - 1
         for event, value in (input_values or {}).items():
             port = self.block.input_ports.get(event)
             if port is not None:
                 inputs[port] = value & mask
+        data_in = "in_%s" % MEM_DATA_IN
 
+        result = HwRunResult()
+        per_cycle_energy = result.per_cycle_energy
+        total = 0.0
+        cycles = 0
         script = list(read_values or [])
         script_pos = 0
         pending_strobes: List[str] = []
         pending_write_addr: Optional[int] = None
         sim = self.simulator
+        step = sim.step
         values = sim.values
         strobe_watch = self._strobe_watch
+        strobe_nets = self._strobe_nets
         done_net = self._done_net
-        done = False
-        while not done:
-            if result.cycles >= self.max_cycles_per_transition:
+        limit = self.max_cycles_per_transition
+        while True:
+            if cycles >= limit:
                 raise HwEstimatorError(
                     "transition %s.%s exceeded %d cycles"
-                    % (self.cfsm.name, transition_name,
-                       self.max_cycles_per_transition)
+                    % (self.cfsm.name, transition_name, limit)
                 )
             if deadline is not None:
                 check_deadline(deadline)
-            energy = sim.step(inputs)
-            inputs = {self.block.go_ports[transition_name]: 0}
-            result.cycles += 1
-            result.per_cycle_energy.append(energy)
-            result.energy += energy
+            energy = step(inputs)
+            inputs = {go: 0} if cycles == 0 else None
+            cycles += 1
+            per_cycle_energy.append(energy)
+            total += energy
 
             # Emission values are registered, so a strobe seen in cycle
             # k is read from the value port after cycle k+1's edge.
@@ -311,31 +323,40 @@ class HardwarePowerSimulator:
                     pending_write_addr = None
                 else:
                     result.emitted.append((event, value))
-            pending_strobes = [
-                event for event, net in strobe_watch if values[net]
-            ]
-            if pending_strobes and MEM_READ_REQ in pending_strobes:
-                if script_pos >= len(script):
-                    raise HwEstimatorError(
-                        "transition %s.%s issued more memory reads than "
-                        "the supplied read script" % (self.cfsm.name, transition_name)
-                    )
-                inputs["in_%s" % MEM_DATA_IN] = script[script_pos] & mask
-                script_pos += 1
-            done = bool(values[done_net])
+            if any(map(values.__getitem__, strobe_nets)):
+                pending_strobes = [
+                    event for event, net in strobe_watch if values[net]
+                ]
+                if MEM_READ_REQ in pending_strobes:
+                    if script_pos >= len(script):
+                        raise HwEstimatorError(
+                            "transition %s.%s issued more memory reads than "
+                            "the supplied read script"
+                            % (self.cfsm.name, transition_name)
+                        )
+                    if inputs is None:
+                        inputs = {}
+                    inputs[data_in] = script[script_pos] & mask
+                    script_pos += 1
+            elif pending_strobes:
+                pending_strobes = []
+            if values[done_net]:
+                break
 
         if pending_strobes:
             # Flush emissions strobed in the final cycle (cannot happen
             # with RtlCompiler output, where DONE follows every EMIT,
             # but kept for hand-written micro-programs).
-            energy = sim.step(inputs)
-            result.cycles += 1
-            result.per_cycle_energy.append(energy)
-            result.energy += energy
+            energy = step(inputs)
+            cycles += 1
+            per_cycle_energy.append(energy)
+            total += energy
             for event in pending_strobes:
                 value = sim.peek(self.block.value_ports[event])
                 if event not in _INTERNAL_EVENTS:
                     result.emitted.append((event, value))
+        result.cycles = cycles
+        result.energy = total
 
         self.invocations += 1
         self.total_cycles += result.cycles

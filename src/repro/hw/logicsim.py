@@ -16,18 +16,27 @@ already holds the value its inputs give, so skipping it skips no toggle,
 and the toggles that do happen are still charged in netlist order: the
 per-cycle energies are the float sums a full evaluation gives.
 
-The clock edge is compiled into one generator function and the gate
-list into chunks of at most ``_CHUNK_SIZE`` gates, one generator
-function each.  A running generator keeps the nets it drives (flip-flop
-outputs, or its own gates' outputs) in local variables across cycles, so
-a toggle test compares two locals; other nets are read from the ``values``
-list, which every toggle still updates and which stays the
-authoritative net state.  The dirty flags are closure cells, one per
-gate, that each simulator creates and binds into its own copies of the
-kernels, so a kernel can mark gates of any chunk.  Out-of-band writes to
-the net state go through :meth:`CompiledSimulator.load`, which flags the
+The clock edge is activity-driven the same way.  A flip-flop whose D
+net no flip-flop drives has a flag that whatever toggles the D net sets,
+and the edge compares D with Q only while it is set; a flip-flop that
+holds (D is its own Q) gets no code, and one whose D is another
+flip-flop's Q compares a pre-edge snapshot every cycle.  Every
+flip-flop toggle adds the same energy, so the sums do not change.
+
+The clock edge is compiled into generator functions of at most
+``_CHUNK_SIZE`` flip-flops and the gate list into chunks of at most
+``_CHUNK_SIZE`` gates, one generator function each.  A running generator
+keeps the nets it drives (flip-flop outputs, or its own gates' outputs)
+in local variables across cycles, so a toggle test compares two locals;
+other nets are read from the ``values`` list, which every toggle still
+updates and which stays the authoritative net state.  The dirty flags
+are closure cells, one per gate and one per flip-flop, that each
+simulator creates and binds into its own copies of the kernels, so a
+kernel can mark flags of any other kernel.  Out-of-band writes to the
+net state go through :meth:`CompiledSimulator.load`, which flags the
 gates they may have made inconsistent and restarts the generators
-(reloading their locals) lazily at the next evaluation.
+(reloading their locals and flagging every flip-flop) lazily at the next
+evaluation.
 
 The per-cycle energy sequence is exactly what the paper's modified SIS
 power simulator reports back to the simulation master.
@@ -62,10 +71,12 @@ _GATE_EXPR = {
     "MUX2": "({2} if {0} else {1})",
 }
 
-#: Gates per generated chunk kernel.  Bounded chunks keep each compile
-#: (and the compile-time memory spike) small: the guarded code of 320
-#: gates peaked 3 MB higher than that of 160.
-_CHUNK_SIZE = 160
+#: Gates per generated chunk kernel, and flip-flops per clock-edge
+#: kernel.  Bounded chunks keep each compile (and the compile-time
+#: memory spike) small: the guarded code of 320 gates peaked 3 MB higher
+#: than that of 160, and chunks of 128 keep building tcpip's master
+#: about 0.4 MB below chunks of 160.
+_CHUNK_SIZE = 128
 
 
 class _KernelCode(NamedTuple):
@@ -80,11 +91,13 @@ class _KernelCode(NamedTuple):
 
 
 class _Compiled(NamedTuple):
-    #: The clock-edge kernel, then one kernel per gate chunk.
+    #: The clock-edge kernels, then one kernel per gate chunk.
     kernels: Tuple[_KernelCode, ...]
-    #: Positions of the gates reading each net that no gate drives
-    #: (flip-flop outputs and primary inputs): the flags to set when a
-    #: primary input or a load changes the net.
+    #: How many of ``kernels`` are clock-edge kernels.
+    edges: int
+    #: Flag positions of the gates and flip-flops reading each net that
+    #: no gate drives (flip-flop outputs and primary inputs): the flags
+    #: to set when a primary input or a load changes the net.
     readers: Dict[int, Tuple[int, ...]]
 
 
@@ -143,9 +156,10 @@ def _kernel(
     """Compile one kernel generator function, called as ``(v, dirty)``.
 
     It loads the nets in ``local_of`` into their locals and, if
-    ``dirty``, sets the flags of the gates at positions ``own``; then it
-    runs ``body`` once per value sent in and yields ``(e, n)``.  Flag
-    ``gI`` belongs to the gate at position I; the kernel declares only
+    ``dirty``, sets the flags at positions ``own``; then it runs ``body``
+    once per value sent in and yields ``(e, n)``.  Flag ``gI`` belongs
+    to the gate at position I, or, from the gate count on, to the
+    flip-flop at position I minus the gate count; the kernel declares only
     the ``touched`` flags, as free variables (parameters of an
     enclosing function that is compiled but never run).  Cell energies
     are parameters named after the cell (read as locals), not float
@@ -213,14 +227,15 @@ class CompiledSimulator:
         )
         self._clock_energy = DFF_CLOCK_ENERGY_J * netlist.dff_count
         self._compiled, self.netlist_token = self._compile_cached()
-        #: This simulator's flags, one cell per gate by netlist position,
-        #: and the kernels bound to them; made by the first :meth:`_start`.
+        #: This simulator's flags, one cell per gate and then one per
+        #: flip-flop, by netlist position, and the kernels bound to them;
+        #: made by the first :meth:`_start`.
         self._flags: List[CellType] = []
         self._kernels: List[Callable] = []
-        #: ``send`` of the running latch generator and of the running
-        #: chunk generators; ``None`` when their locals are stale (see
-        #: :meth:`load`).
-        self._latch_send: Optional[Callable] = None
+        #: ``send`` of the running clock-edge generators, ``None`` when
+        #: the kernels' locals are stale (see :meth:`load`), and of the
+        #: running chunk generators.
+        self._edge_sends: Optional[List[Callable]] = None
         self._chunk_sends: List[Callable] = []
         #: Whether the next start flags every gate (see :meth:`load`).
         self._dirty = True
@@ -267,9 +282,9 @@ class CompiledSimulator:
         toggles in netlist order and yields it with its toggle count.
         ``v`` is written on every toggle, keeping it authoritative for
         the estimator, the ports and the other kernels, and every toggle
-        marks the gates reading the toggled net.  A chunk kernel runs a
-        gate only while its flag is set, and clears the flag before
-        evaluating it.
+        marks the gates and flip-flops reading the toggled net.  A
+        kernel runs a gate, or compares a flagged flip-flop's D with Q,
+        only while its flag is set, and clears the flag first.
         """
         library = self.library
 
@@ -280,7 +295,8 @@ class CompiledSimulator:
             }
 
         gates = self.netlist.gates
-        # Positions of the gates reading each net.
+        # Flag positions of the gates (and below, flip-flops) reading
+        # each net.
         readers: Dict[int, List[int]] = {}
         for index, gate in enumerate(gates):
             for net in dict.fromkeys(gate.inputs):
@@ -293,19 +309,54 @@ class CompiledSimulator:
             return "; %s = True" % " = ".join("g%d" % index for index in marked)
 
         dffs = self.netlist.dffs
-        # Clock edge: Q follows the settled D.  A D net that is itself
-        # a Q net is snapshotted first, so DFF chains latch the pre-edge
-        # state; every other D net is unaffected by Q writes.
-        q_local = {dff.q: "q%d" % dff.q for dff in dffs}
-        snapshots = sorted({dff.d for dff in dffs if dff.d in q_local})
-        edge = ["s%d = q%d" % (net, net) for net in snapshots]
-        for dff in dffs:
-            d = "s%d" % dff.d if dff.d in q_local else "v[%d]" % dff.d
-            edge.append(_TOGGLE.format(d, q_local[dff.q], dff.q, "DFF", marks(dff.q)))
-        latch_marks = dict.fromkeys(r for dff in dffs for r in readers.get(dff.q, ()))
-        kernels = [_kernel(
-            "_latch", q_local, (), list(latch_marks), edge, energies({"DFF"})
-        )]
+        q_nets = {dff.q for dff in dffs}
+        # Clock edge: Q follows the settled D.  A flip-flop whose D is
+        # its own Q holds, and gets no code.  One whose D is another
+        # flip-flop's Q (a chain) reads a snapshot taken before any Q
+        # is written, so all chain flip-flops go to the first edge
+        # kernel, which runs first.  Every other flip-flop is guarded by
+        # the flag at the gate count plus its netlist position, which the
+        # toggles of its D net set.  Every toggle adds the same ``DFF``
+        # energy, so skipping and reordering flip-flops keeps the sums.
+        chain = [(None, dff) for dff in dffs if dff.d in q_nets and dff.d != dff.q]
+        guarded = [
+            (position, dff) for position, dff in enumerate(dffs, len(gates))
+            if dff.d not in q_nets
+        ]
+        for position, dff in guarded:
+            readers.setdefault(dff.d, []).append(position)
+        snapshots = sorted({dff.d for _, dff in chain})
+        latched = chain + guarded
+        first = max(_CHUNK_SIZE, len(chain))
+        edges = [latched[:first]] + [
+            latched[start:start + _CHUNK_SIZE]
+            for start in range(first, len(latched), _CHUNK_SIZE)
+        ]
+        kernels: List[_KernelCode] = []
+        for edge_dffs in edges:
+            q_local = {dff.q: "q%d" % dff.q for _, dff in edge_dffs}
+            edge = [] if kernels else [
+                "s%d = %s" % (net, q_local.get(net) or "v[%d]" % net)
+                for net in snapshots
+            ]
+            guards: List[int] = []
+            touched: Dict[int, None] = {}
+            for position, dff in edge_dffs:
+                toggle = _TOGGLE.format(
+                    "s%d" % dff.d if position is None else "v[%d]" % dff.d,
+                    q_local[dff.q], dff.q, "DFF", marks(dff.q),
+                )
+                if position is None:
+                    edge.append(toggle)
+                else:
+                    guards.append(position)
+                    edge += ["if g%d:" % position, " g%d = False" % position,
+                             " " + toggle]
+                touched.update(dict.fromkeys(readers.get(dff.q, ())))
+            touched.update(dict.fromkeys(guards))
+            kernels.append(_kernel(
+                "_edge", q_local, guards, list(touched), edge, energies({"DFF"})
+            ))
 
         for start in range(0, len(gates), _CHUNK_SIZE):
             chunk = gates[start:start + _CHUNK_SIZE]
@@ -330,7 +381,8 @@ class CompiledSimulator:
         for nets in self.netlist.input_ports.values():
             undriven += nets
         return _Compiled(
-            tuple(kernels), {net: tuple(readers.get(net, ())) for net in undriven}
+            tuple(kernels), len(edges),
+            {net: tuple(readers.get(net, ())) for net in undriven},
         )
 
     # -- state ------------------------------------------------------------------
@@ -361,7 +413,7 @@ class CompiledSimulator:
         if nets is None:
             self.values[:] = values
             self._dirty = not settled
-            self._latch_send = None
+            self._edge_sends = None
             return
         current = self.values
         readers = self._compiled.readers
@@ -369,7 +421,7 @@ class CompiledSimulator:
         for net, value in zip(nets, values):
             if current[net] != value:
                 current[net] = value
-                self._latch_send = None
+                self._edge_sends = None
                 marked = readers.get(net)
                 if marked is None:
                     self._dirty = True
@@ -377,19 +429,21 @@ class CompiledSimulator:
                     for index in marked:
                         flags[index].cell_contents = True
 
-    def _start(self) -> Callable:
-        """Start the kernels from ``values``; returns the latch ``send``.
+    def _start(self) -> List[Callable]:
+        """Start the kernels from ``values``; returns the edge kernels' sends.
 
-        Every gate is flagged after a full load that was not declared
-        settled, and on the first start, which binds the kernels.
+        Every flip-flop is flagged on every start.  Every gate is flagged
+        after a full load that was not declared settled, and on the first
+        start, which binds the kernels.
         """
         kernels = self._kernels
         if not kernels:
-            # A gate's cell is shared by every kernel that reads or marks
-            # the gate.
-            flags = self._flags = list(
-                map(CellType, repeat(True, self.netlist.gate_count))
-            )
+            # A flag's cell is shared by every kernel that reads or marks
+            # it.
+            netlist = self.netlist
+            flags = self._flags = list(map(
+                CellType, repeat(True, netlist.gate_count + netlist.dff_count)
+            ))
             kernels[:] = [
                 FunctionType(
                     kernel.code, _KERNEL_GLOBALS, kernel.code.co_name,
@@ -398,13 +452,14 @@ class CompiledSimulator:
                 for kernel in self._compiled.kernels
             ]
         sends = []
-        for kernel in kernels:
-            generator = kernel(self.values, self._dirty)
+        edges = self._compiled.edges
+        for position, kernel in enumerate(kernels):
+            generator = kernel(self.values, position < edges or self._dirty)
             next(generator)
             sends.append(generator.send)
-        self._chunk_sends = sends[1:]
-        self._latch_send = sends[0]
-        return sends[0]
+        self._chunk_sends = sends[edges:]
+        self._edge_sends = sends[:edges]
+        return self._edge_sends
 
     # -- simulation -------------------------------------------------------------
 
@@ -440,7 +495,7 @@ class CompiledSimulator:
         must be made consistent with the poked Q values before the next
         clock edge, otherwise the edge would restore stale state.
         """
-        if self._latch_send is None:
+        if self._edge_sends is None:
             self._start()
         for send in self._chunk_sends:
             send(0.0)
@@ -452,24 +507,30 @@ class CompiledSimulator:
         not mentioned hold their previous values.  An unknown port name
         raises ``KeyError`` before any state changes.
         """
-        input_ports = self.netlist.input_ports
         if inputs:
-            for name in inputs:
-                if name not in input_ports:
-                    raise KeyError("no input port named %r" % name)
-        latch = self._latch_send
-        if latch is None:
-            latch = self._start()
-        energy, toggles = latch(self._clock_energy)
+            input_ports = self.netlist.input_ports
+            try:
+                driven = [(input_ports[name], value) for name, value in inputs.items()]
+            except KeyError as error:
+                raise KeyError("no input port named %r" % error.args[0]) from None
+        edge_sends = self._edge_sends
+        if edge_sends is None:
+            edge_sends = self._start()
+        energy = self._clock_energy
+        toggles = 0
+        for send in edge_sends:
+            energy, edge_toggles = send(energy)
+            toggles += edge_toggles
 
         # New primary-input values for this cycle.
         if inputs:
             v = self.values
             readers = self._compiled.readers
             flags = self._flags
-            for name, value in inputs.items():
-                for index, net in enumerate(input_ports[name]):
-                    bit = (value >> index) & 1
+            for nets, value in driven:
+                for net in nets:
+                    bit = value & 1
+                    value >>= 1
                     if v[net] != bit:
                         energy += self.pi_energy_j
                         toggles += 1

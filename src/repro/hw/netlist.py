@@ -296,15 +296,6 @@ class NetlistBuilder:
             return CONST0
         return self.gate("XOR2", a, b)
 
-    def xnor_(self, a: int, b: int) -> int:
-        return self.not_(self.xor_(a, b))
-
-    def nand_(self, a: int, b: int) -> int:
-        return self.not_(self.and_(a, b))
-
-    def nor_(self, a: int, b: int) -> int:
-        return self.not_(self.or_(a, b))
-
     def mux(self, select: int, a: int, b: int) -> int:
         """2:1 mux — ``a`` when select is 0, ``b`` when select is 1."""
         if select == CONST0:

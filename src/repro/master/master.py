@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-from repro.errors import ReproError
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from repro.errors import EstimatorUnavailable, ReproError
 
 from repro.bus.busmodel import SharedBus
 from repro.bus.model import BusParameters
@@ -38,11 +38,6 @@ from repro.hw.library import GateLibrary
 from repro.master.kernel import EventQueue
 from repro.master.rtos import RtosConfig, RtosScheduler
 from repro.master.tracing import EnergyAccountant
-from repro.resilience.supervisor import (
-    EstimatorUnavailable,
-    ResilienceConfig,
-    ResilientEstimator,
-)
 from repro.sw.codegen import (
     SHARED_MEMORY_BASE,
     CompiledCfsm,
@@ -52,6 +47,9 @@ from repro.sw.codegen import (
 from repro.sw.iss import Iss
 from repro.sw.power_model import InstructionPowerModel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from repro.resilience.supervisor import ResilienceConfig, ResilientEstimator
 
 
 class MasterError(ReproError):
@@ -205,16 +203,17 @@ class SimulationMaster:
             else None
         )
         self.rtos = RtosScheduler(self.config.rtos)
-        self.resilience = (
-            ResilientEstimator(
+        self.resilience: Optional[ResilientEstimator] = None
+        if self.config.resilience is not None:
+            # Imported here: runs without a resilience layer never load it.
+            from repro.resilience import supervisor
+
+            self.resilience = supervisor.ResilientEstimator(
                 self.config.resilience,
                 power_model=self.config.power_model,
                 library=self.config.library,
                 telemetry=self.telemetry,
             )
-            if self.config.resilience is not None
-            else None
-        )
         self.stats = RunStats()
         self.reactions: List[ReactionRecord] = []
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.deadline import WatchdogTimeout, deadline_after, sleep_within_deadline
-from repro.errors import ReproError
+from repro.errors import EstimatorUnavailable, ReproError
 from repro.estimation import Estimate, EstimationJob
 from repro.obs.context import emit_event
 from repro.obs.names import (
@@ -68,10 +68,6 @@ PROVENANCE_LEVELS = ("exact", "cached", "macromodel", "degraded")
 
 class CorruptedEstimate(ReproError):
     """A component estimator returned a non-physical result."""
-
-
-class EstimatorUnavailable(ReproError):
-    """A component estimator failed persistently (retries exhausted)."""
 
 
 def retry_backoff_s(site: str, attempt: int, base_s: float,

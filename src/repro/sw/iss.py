@@ -179,7 +179,7 @@ for _op, _func in _ALU_SEMANTICS.items():
 
 
 def _decode_instruction(instruction: Instruction) -> tuple:
-    """Precompute everything :meth:`Iss._retire` needs per instruction.
+    """Precompute everything :meth:`Iss._interpret` needs per instruction.
 
     Tuple layout: ``(reads, klass, cycles, load_rd, executor, is_branch)``.
     """
@@ -529,20 +529,42 @@ class Iss:
         breakpoints: Optional[Set[str]],
         deadline: Optional[float],
     ) -> IssResult:
+        """The interpreter loop, with hazard and energy accounting inline.
+
+        Each instruction (and each delay slot) runs its decoded executor
+        (see :func:`_decode_instruction`), stalls a cycle if it reads
+        the register the previous instruction loaded, and is charged the
+        power model's instruction energy: read from the model's energy
+        cache, filled by :meth:`InstructionPowerModel.instruction_energy`
+        on a miss.  A data-dependent model keeps no cache, so every
+        instruction of it is charged by that method.
+        """
         result = IssResult()
-        result.cycles = PIPELINE_FILL_CYCLES
-        result.energy = self.power_model.fill_energy(PIPELINE_FILL_CYCLES)
+        model = self.power_model
+        cycles = PIPELINE_FILL_CYCLES
+        energy = model.fill_energy(PIPELINE_FILL_CYCLES)
+        count = stalls = 0
+        class_counts = result.class_counts
+        energies = (
+            {} if model.data_alpha
+            else model.__dict__.setdefault("_energy_cache", {})
+        )
+        instruction_energy = model.instruction_energy
+        stall_energy = model.stall_energy(1)
+        trace = result.executed if self.record_trace else None
         break_indexes = {}
         if breakpoints:
             break_indexes = {
                 self.program.entry(label): label for label in breakpoints
             }
 
-        pc = self.program.entry(entry)
+        program = self.program
+        pc = program.entry(entry)
         return_stack: List[int] = []
         previous_class = ""
         pending_load_rd: Optional[int] = None
-        instructions = self.program.instructions
+        instructions = program.instructions
+        size = len(instructions)
         decode = self._decode
         # The instruction bound doubles as the deadline's poll point.
         limit = self.max_instructions
@@ -550,159 +572,87 @@ class Iss:
             limit = min(limit, DEADLINE_POLL_INSTRUCTIONS)
 
         while True:
-            if result.instruction_count >= limit:
-                if result.instruction_count >= self.max_instructions:
+            if count >= limit:
+                if count >= self.max_instructions:
                     raise IssError(
                         "invocation exceeded %d instructions (runaway loop?)"
                         % self.max_instructions
                     )
                 check_deadline(deadline)
-                limit = min(
-                    self.max_instructions,
-                    result.instruction_count + DEADLINE_POLL_INSTRUCTIONS,
-                )
-            if pc in break_indexes and result.instruction_count > 0:
+                limit = min(self.max_instructions,
+                            count + DEADLINE_POLL_INSTRUCTIONS)
+            if pc in break_indexes and count > 0:
                 result.stopped_at_breakpoint = break_indexes[pc]
                 break
-            if not 0 <= pc < len(instructions):
+            if not 0 <= pc < size:
                 raise IssError("PC out of range: %d" % pc)
 
             instruction = instructions[pc]
-            decoded = decode[pc]
-            previous_class, pending_load_rd = self._retire(
-                instruction, decoded, memory, result, previous_class, pending_load_rd
-            )
+            reads, klass, base, load_rd, executor, is_branch = decode[pc]
+            value = executor(self, instruction, memory, result)
+            count += 1
+            class_counts[klass] = class_counts.get(klass, 0) + 1
+            charge = energies.get((klass, base, previous_class))
+            if charge is None:
+                charge = instruction_energy(klass, base, previous_class, value)
+            energy += charge
+            if pending_load_rd is not None and pending_load_rd in reads:
+                stalls += 1
+                cycles += base + 1
+                energy += stall_energy
+            else:
+                cycles += base
+            if trace is not None:
+                trace.append(instruction)
+            previous_class = klass
+            pending_load_rd = load_rd
 
-            if decoded[5]:  # is_branch
-                taken = self._branch_taken(instruction.op)
-                if taken:
+            if is_branch:
+                if self._branch_taken(instruction.op):
                     result.branches_taken += 1
                     delay_pc = pc + 1
-                    if delay_pc < len(instructions):
-                        delay_slot = instructions[delay_pc]
-                        delay_decoded = decode[delay_pc]
-                        if delay_decoded[5]:
+                    if delay_pc < size:
+                        _, klass, base, load_rd, executor, is_branch = (
+                            decode[delay_pc]
+                        )
+                        if is_branch:
                             raise IssError(
                                 "branch in delay slot at index %d" % delay_pc
                             )
-                        previous_class, pending_load_rd = self._retire(
-                            delay_slot, delay_decoded, memory, result,
-                            previous_class, pending_load_rd,
-                        )
-                    pc = self.program.resolve(instruction.target)
+                        # The branch loads nothing, so the slot never
+                        # stalls.
+                        delay_slot = instructions[delay_pc]
+                        value = executor(self, delay_slot, memory, result)
+                        count += 1
+                        class_counts[klass] = class_counts.get(klass, 0) + 1
+                        charge = energies.get((klass, base, previous_class))
+                        if charge is None:
+                            charge = instruction_energy(
+                                klass, base, previous_class, value
+                            )
+                        energy += charge
+                        cycles += base
+                        if trace is not None:
+                            trace.append(delay_slot)
+                        previous_class = klass
+                        pending_load_rd = load_rd
+                    pc = program.resolve(instruction.target)
                 else:
                     pc += 1
             elif instruction.op == Opcode.CALL:
                 return_stack.append(pc + 1)
-                pc = self.program.resolve(instruction.target)
+                pc = program.resolve(instruction.target)
             elif instruction.op == Opcode.RET:
                 if not return_stack:
                     break
                 pc = return_stack.pop()
             else:
                 pc += 1
+        result.cycles = cycles
+        result.energy = energy
+        result.instruction_count = count
+        result.stall_cycles = stalls
         return result
-
-    def run_sequence(self, instructions: List[Instruction]) -> IssResult:
-        """Straight-line timing/energy evaluation of an instruction list.
-
-        Used by the sequence-compaction speedup technique: branches are
-        charged their untaken cost and control flow is ignored, because
-        compacted sequences are evaluated for their power, not their
-        semantics.
-        """
-        result = IssResult()
-        result.cycles = PIPELINE_FILL_CYCLES
-        result.energy = self.power_model.fill_energy(PIPELINE_FILL_CYCLES)
-        previous_class = ""
-        pending_load_rd: Optional[int] = None
-        scratch: Dict[int, int] = {}
-        for instruction in instructions:
-            if instruction.op in (Opcode.CALL, Opcode.RET):
-                continue
-            if instruction.is_branch:
-                self._account(instruction, result, previous_class, 0, 0)
-                previous_class = instruction.instruction_class
-                pending_load_rd = None
-                continue
-            previous_class, pending_load_rd = self._retire(
-                instruction, _decode_instruction(instruction), scratch, result,
-                previous_class, pending_load_rd,
-            )
-        return result
-
-    # -- execution core -------------------------------------------------------
-
-    def _retire(
-        self,
-        instruction: Instruction,
-        decoded: tuple,
-        memory: MutableMapping[int, int],
-        result: IssResult,
-        previous_class: str,
-        pending_load_rd: Optional[int],
-    ) -> Tuple[str, Optional[int]]:
-        """Execute one instruction, including hazard accounting.
-
-        ``decoded`` is the precomputed tuple from
-        :func:`_decode_instruction`; it carries the read set, class,
-        base cycles, load destination and executor so the hot loop does
-        no per-retire re-derivation.
-        """
-        reads, klass, cycles, load_rd, executor, _ = decoded
-        stall = 0
-        if pending_load_rd is not None and pending_load_rd in reads:
-            stall = 1
-            result.stall_cycles += 1
-        value = executor(self, instruction, memory, result)
-        result.cycles += cycles + stall
-        result.instruction_count += 1
-        result.class_counts[klass] = result.class_counts.get(klass, 0) + 1
-        result.energy += self.power_model.instruction_energy(
-            klass, cycles, previous_class, value
-        )
-        if stall:
-            result.energy += self.power_model.stall_energy(stall)
-        if self.record_trace:
-            result.executed.append(instruction)
-        return klass, load_rd
-
-    def _account(
-        self,
-        instruction: Instruction,
-        result: IssResult,
-        previous_class: str,
-        stall: int,
-        value: int,
-    ) -> None:
-        cycles = BASE_CYCLES[instruction.op]
-        result.cycles += cycles + stall
-        result.instruction_count += 1
-        klass = instruction.instruction_class
-        result.class_counts[klass] = result.class_counts.get(klass, 0) + 1
-        result.energy += self.power_model.instruction_energy(
-            klass, cycles, previous_class, value
-        )
-        if stall:
-            result.energy += self.power_model.stall_energy(stall)
-        if self.record_trace:
-            result.executed.append(instruction)
-
-    def _execute(
-        self,
-        instruction: Instruction,
-        memory: MutableMapping[int, int],
-        result: IssResult,
-    ) -> int:
-        """Architectural semantics; returns the produced value.
-
-        Dispatches through the decoded executor table; the per-opcode
-        executors are module-level functions shared by every ISS.
-        """
-        executor = _EXECUTORS.get(instruction.op)
-        if executor is None:
-            raise IssError("unimplemented opcode %r" % instruction.op)
-        return executor(self, instruction, memory, result)
 
     def _branch_taken(self, op: str) -> bool:
         if op == Opcode.BA:

@@ -107,11 +107,6 @@ class Telemetry:
         """Counters/gauges/histograms without span recording."""
         return cls(tracer=NULL_TRACER)
 
-    @classmethod
-    def tracing_only(cls) -> "Telemetry":
-        """Span recording without a metrics registry."""
-        return cls(metrics=NULL_METRICS)
-
 
 class _NullTelemetry(Telemetry):
     """The disabled bundle every component defaults to."""

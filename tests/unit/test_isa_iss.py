@@ -190,17 +190,3 @@ class TestIssEnergy:
         low = Iss(assemble(body)).run("main", {0: 0})
         high = Iss(assemble(body)).run("main", {0: 0xFFFF})
         assert low.energy == high.energy
-
-    def test_run_sequence_straight_line(self):
-        instructions = [
-            Instruction(Opcode.SETI, rd=8, imm=1),
-            Instruction(Opcode.ADD, rd=9, rs1=8, rs2=8),
-            Instruction(Opcode.BA, target="x"),  # charged, not followed
-        ]
-        builder = ProgramBuilder()
-        builder.label("x")
-        builder.ret()
-        iss = Iss(builder.build())
-        result = iss.run_sequence(instructions)
-        assert result.instruction_count == 3
-        assert result.cycles >= 3

@@ -294,10 +294,10 @@ class TestOutOfBandWrites:
         netlist = bundled_netlist("tcpip", "checksum")
         sim, ref, inputs = self.settled_pair(netlist)
         q_nets = [dff.q for dff in netlist.dffs]
-        running = sim._latch_send
+        running = sim._edge_sends
         sim.load([sim.values[net] for net in q_nets], q_nets)
         sim.settle()
-        assert sim._latch_send is running
+        assert sim._edge_sends is running
         assert_same_step(sim, ref, inputs, "after the poke")
 
     def test_full_load_of_an_unsettled_state(self):
@@ -487,3 +487,142 @@ class TestGeneratedNetlists:
                   settled_restores=True)
         finally:
             logicsim._CHUNK_SIZE = chunk_size
+
+
+_ARITY = {"INV": 1, "BUF": 1, "MUX2": 3}
+
+#: Where a generated flip-flop's D comes from.
+_D_SOURCES = ("gate", "input", "const1", "own", "other")
+
+
+@st.composite
+def edge_netlists(draw):
+    """Small netlists whose flip-flops read every kind of D net.
+
+    D nets are gate outputs, primary inputs, ``CONST1``, the flip-flop's
+    own Q (a hold) and other flip-flops' Q (chains); the first two
+    flip-flops may be wired as a swap.
+    """
+    net = CONST1 + 1
+    input_ports = {}
+    for index in range(draw(st.integers(1, 2))):
+        width = draw(st.integers(1, 3))
+        input_ports["in%d" % index] = list(range(net, net + width))
+        net += width
+    primary = [pi for nets in input_ports.values() for pi in nets]
+    q_nets = list(range(net, net + draw(st.integers(1, 8))))
+    net += len(q_nets)
+    defined = [0, CONST1] + primary + q_nets
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        cell = draw(st.sampled_from(sorted(_CELL_FUNCTIONS)))
+        operands = st.sampled_from(defined)
+        inputs = tuple(draw(operands) for _ in range(_ARITY.get(cell, 2)))
+        gates.append(Gate(cell, inputs, net))
+        defined.append(net)
+        net += 1
+    dffs = []
+    for q in q_nets:
+        source = draw(st.sampled_from(_D_SOURCES))
+        if source == "gate" and gates:
+            d = draw(st.sampled_from([gate.output for gate in gates]))
+        elif source in ("gate", "input"):
+            d = draw(st.sampled_from(primary))
+        elif source == "const1":
+            d = CONST1
+        elif source == "own":
+            d = q
+        else:
+            d = draw(st.sampled_from(q_nets))
+        dffs.append(Dff(d, q, draw(st.integers(0, 1))))
+    if len(q_nets) > 1 and draw(st.booleans()):
+        dffs[0] = Dff(q_nets[1], q_nets[0], dffs[0].init)
+        dffs[1] = Dff(q_nets[0], q_nets[1], dffs[1].init)
+    return Netlist("edge", num_nets=net, gates=gates, dffs=dffs,
+                   input_ports=input_ports, output_ports={"q": q_nets})
+
+
+def drive_edges(netlist, seed, cycles):
+    """Sparse stimuli between Q pokes, settles and full loads.
+
+    Each cycle passes only the input ports whose value changed, so most
+    cycles leave every primary input alone.  Between steps, flip-flop
+    outputs are poked (then usually settled), and the whole net state
+    is replaced by an earlier settled snapshot or by random bits that
+    follow no gate.
+    """
+    rng = random.Random(seed)
+    sim = CompiledSimulator(netlist)
+    ref = ReferenceSimulator(netlist)
+    stimuli = SparseInputs(netlist, rng)
+    q_nets = [dff.q for dff in netlist.dffs]
+    applied = {}
+    snapshots = []
+    for cycle in range(cycles):
+        context = "seed %d cycle %d" % (seed, cycle)
+        action = rng.randrange(8)
+        if action == 0:
+            nets = rng.sample(q_nets, rng.randint(1, len(q_nets)))
+            bits = [rng.getrandbits(1) for _ in nets]
+            sim.load(bits, nets)
+            for net, bit in zip(nets, bits):
+                ref.values[net] = bit
+            if rng.random() < 0.8:
+                sim.settle()
+                ref.settle()
+        elif action == 1:
+            snapshots.append(list(sim.values))
+        elif action == 2 and snapshots:
+            snapshot = rng.choice(snapshots)
+            sim.load(snapshot, settled=True)
+            ref.values[:] = snapshot
+        elif action == 3:
+            state = [0, 1] + [rng.getrandbits(1)
+                              for _ in range(netlist.num_nets - 2)]
+            sim.load(state)
+            ref.values[:] = state
+        assert sim.values == ref.values, context
+        current = stimuli(netlist, rng)
+        changed = {name: value for name, value in current.items()
+                   if applied.get(name) != value}
+        applied.update(changed)
+        assert_same_step(sim, ref, changed, context)
+
+
+class TestClockEdge:
+    """Only flip-flops whose D may have changed are compared at the edge."""
+
+    @given(edge_netlists(), st.sampled_from([2, 3, logicsim._CHUNK_SIZE]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, netlist, chunk_size, seed):
+        # Small chunks split the flip-flops over several edge kernels and
+        # put D nets' drivers in other kernels than their flip-flops.
+        saved = logicsim._CHUNK_SIZE
+        logicsim._CHUNK_SIZE = chunk_size
+        try:
+            drive_edges(netlist, seed, cycles=40)
+        finally:
+            logicsim._CHUNK_SIZE = saved
+
+    @pytest.mark.parametrize("chunk_size", [2, logicsim._CHUNK_SIZE])
+    def test_every_d_source(self, chunk_size, monkeypatch):
+        # in0 drives nets 2-3, flip-flops nets 4-11, gates nets 12-13.
+        monkeypatch.setattr(logicsim, "_CHUNK_SIZE", chunk_size)
+        netlist = Netlist(
+            "sources", num_nets=14,
+            gates=[Gate("XOR2", (2, 4), 12), Gate("AND2", (3, 9), 13)],
+            dffs=[
+                Dff(5, 4, 1), Dff(4, 5),  # a swap
+                Dff(5, 6),                # a chain off the swap
+                Dff(2, 7),                # a primary input
+                Dff(CONST1, 8),           # a constant
+                Dff(12, 9, 1),            # a gate output
+                Dff(10, 10, 1),           # a hold
+                Dff(13, 11),              # a gate reading a flip-flop
+            ],
+            input_ports={"in0": [2, 3]},
+            output_ports={"q": list(range(4, 12))},
+        )
+        for seed in range(8):
+            drive_edges(netlist, seed, cycles=60)
