@@ -29,9 +29,6 @@ from repro.hw.synth import (
     synthesize_cfsm_cached,
 )
 
-_INTERNAL_EVENTS = (MEM_READ_REQ, MEM_WRITE_ADDR, MEM_WRITE_DATA)
-
-
 class HwEstimatorError(ReproError):
     """Raised when a transition does not complete in the netlist."""
 
@@ -54,7 +51,7 @@ class HwEstimatorError(ReproError):
 #: Keyed by (netlist token, transition, DFF/PI state, inputs, read
 #: script, cycle limit); values are (result, post-run net values as
 #: ``bytes`` -- nets are single bits -- and toggle count).  Entries are
-#: a few KB each (the net snapshot plus the per-cycle energy trace).
+#: a KB or two each (the net snapshot, one byte per net).
 _HW_RUN_MEMO: "LruCache[Tuple[HwRunResult, bytes, int]]" = LruCache(capacity=4096)
 
 HW_RUN_MEMO_STATS = _HW_RUN_MEMO.stats
@@ -71,7 +68,6 @@ class HwRunResult:
 
     cycles: int = 0
     energy: float = 0.0
-    per_cycle_energy: List[float] = field(default_factory=list)
     emitted: List[Tuple[str, int]] = field(default_factory=list)
     mem_read_addresses: List[int] = field(default_factory=list)
     mem_writes: List[Tuple[int, int]] = field(default_factory=list)
@@ -159,7 +155,7 @@ class HardwarePowerSimulator:
                 ports (bus *timing* is charged by the master, not here).
 
         Returns:
-            Cycle count, total and per-cycle energy, and the emitted
+            Cycle count, energy, and the emitted
             (event, value) pairs observed on the strobe/value ports.
         """
         telemetry = self.telemetry
@@ -216,7 +212,6 @@ class HardwarePowerSimulator:
             return HwRunResult(
                 cycles=recorded.cycles,
                 energy=recorded.energy,
-                per_cycle_energy=list(recorded.per_cycle_energy),
                 emitted=list(recorded.emitted),
                 mem_read_addresses=list(recorded.mem_read_addresses),
                 mem_writes=list(recorded.mem_writes),
@@ -248,7 +243,6 @@ class HardwarePowerSimulator:
             HwRunResult(
                 cycles=result.cycles,
                 energy=result.energy,
-                per_cycle_energy=list(result.per_cycle_energy),
                 emitted=list(result.emitted),
                 mem_read_addresses=list(result.mem_read_addresses),
                 mem_writes=list(result.mem_writes),
@@ -282,7 +276,6 @@ class HardwarePowerSimulator:
         data_in = "in_%s" % MEM_DATA_IN
 
         result = HwRunResult()
-        per_cycle_energy = result.per_cycle_energy
         total = 0.0
         cycles = 0
         script = list(read_values or [])
@@ -307,7 +300,6 @@ class HardwarePowerSimulator:
             energy = step(inputs)
             inputs = {go: 0} if cycles == 0 else None
             cycles += 1
-            per_cycle_energy.append(energy)
             total += energy
 
             # Emission values are registered, so a strobe seen in cycle
@@ -343,18 +335,6 @@ class HardwarePowerSimulator:
             if values[done_net]:
                 break
 
-        if pending_strobes:
-            # Flush emissions strobed in the final cycle (cannot happen
-            # with RtlCompiler output, where DONE follows every EMIT,
-            # but kept for hand-written micro-programs).
-            energy = step(inputs)
-            cycles += 1
-            per_cycle_energy.append(energy)
-            total += energy
-            for event in pending_strobes:
-                value = sim.peek(self.block.value_ports[event])
-                if event not in _INTERNAL_EVENTS:
-                    result.emitted.append((event, value))
         result.cycles = cycles
         result.energy = total
 

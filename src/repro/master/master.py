@@ -447,9 +447,6 @@ class SimulationMaster:
                 record["last_end"] = max(record["last_end"], grant.end_ns)
                 if record["remaining"] == 0:
                     record["finish"](record["last_end"])
-                else:
-                    # Re-key under one of the other outstanding requests.
-                    pass
             elif request_id in self._pending_events:
                 event_name, value, source = self._pending_events.pop(request_id)
                 self.queue.schedule(
@@ -569,9 +566,6 @@ class SimulationMaster:
                 for base, words in _contiguous_runs(trace.shared_writes):
                     self.bus.submit(name, True, base, words, end_ns)
                 self._schedule_bus_kick(end_ns)
-            elif trace.shared_writes:
-                for address, value in trace.shared_writes:
-                    pass  # zero-delay / bus-bypass: traffic is not timed
             self.queue.schedule(end_ns, "complete", (name, emissions))
 
         if (

@@ -24,6 +24,8 @@ simulation that is expensive — and each worker's process-wide caches
 make repeated rebuilding cheaper still).
 """
 
+import importlib
+
 from repro.parallel.jobs import (
     JobError,
     JobResult,
@@ -33,12 +35,28 @@ from repro.parallel.jobs import (
     spec_from_wire,
     spec_to_wire,
 )
-from repro.parallel.merge import (
-    merge_metrics_snapshots,
-    merged_chrome_trace_events,
-    write_merged_chrome_trace,
-)
-from repro.parallel.pool import PoolStats, run_jobs
+
+#: Names whose modules load on first access (PEP 562): building a
+#: system needs only :mod:`repro.parallel.jobs`, not the process pool
+#: and the ``multiprocessing``, observability and resilience layers it
+#: brings in.
+_LAZY = {
+    "PoolStats": "repro.parallel.pool",
+    "run_jobs": "repro.parallel.pool",
+    "merge_metrics_snapshots": "repro.parallel.merge",
+    "merged_chrome_trace_events": "repro.parallel.merge",
+    "write_merged_chrome_trace": "repro.parallel.merge",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "JobError",

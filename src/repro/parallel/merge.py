@@ -18,7 +18,6 @@ wall-clock axis.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.parallel.jobs import JobResult
@@ -80,27 +79,6 @@ def merge_metrics_snapshots(
     }
 
 
-#: Ids minted by :func:`repro.obs.context.new_span_id` — already
-#: ``<pid-hex>-<counter-hex>``, globally unique across workers.
-_PID_NAMESPACED_ID = re.compile(r"^[0-9a-f]+-[0-9a-f]+$")
-
-
-def _qualify_span_id(value: Any, pid: int) -> str:
-    """Make a span-id arg unique across workers in a merged trace.
-
-    Pool workers deliberately share seeded RNG state (deterministic
-    sweeps), so any id a job derives from ``random`` repeats in every
-    worker.  Ids already carrying a pid namespace (the obs layer's
-    ``<pid>-<counter>`` format) pass through untouched — including
-    parent links that point at a *different* process's span; anything
-    else is qualified by the worker that produced it.
-    """
-    text = str(value)
-    if _PID_NAMESPACED_ID.match(text):
-        return text
-    return "w%d/%s" % (pid, text)
-
-
 def merged_chrome_trace_events(
     results: Iterable[JobResult],
 ) -> List[Dict[str, Any]]:
@@ -109,9 +87,6 @@ def merged_chrome_trace_events(
     Each worker pid becomes a trace ``pid`` with a ``process_name``
     metadata record; within a worker, tracks keep their names as
     threads.  Jobs that carried no spans contribute nothing.
-    ``span_id``/``parent_span_id`` args are namespaced per worker via
-    :func:`_qualify_span_id` so merged trees never alias across
-    workers.
     """
     events: List[Dict[str, Any]] = []
     # (pid -> process metadata emitted), (pid, track) -> tid.
@@ -164,9 +139,6 @@ def merged_chrome_trace_events(
                 "cat": track,
             }
             merged_args = dict(args) if args else {}
-            for key in ("span_id", "parent_span_id"):
-                if key in merged_args:
-                    merged_args[key] = _qualify_span_id(merged_args[key], pid)
             merged_args.setdefault("job", result.label)
             event["args"] = merged_args
             events.append(event)

@@ -292,15 +292,9 @@ def build_config(
     priorities: Optional[Dict[str, int]] = None,
 ) -> MasterConfig:
     """Master configuration matching the paper's experimental setup."""
-    bus = BusParameters(
-        addr_width=8,
-        data_width=8,
-        vdd=3.3,
-        line_capacitance_f=10e-9,
-        dma_block_words=dma_block_words,
-        priorities=dict(priorities or PAPER_OPTIMAL_PRIORITIES),
-    )
-    return MasterConfig(bus_params=bus)
+    return MasterConfig(bus_params=BusParameters.paper_figure7(
+        dma_block_words, priorities or PAPER_OPTIMAL_PRIORITIES
+    ))
 
 
 def build_system(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from repro.cfsm.builder import CfsmBuilder
 from repro.cfsm.events import Event
-from repro.hw.estimator import HardwarePowerSimulator
+from repro.hw.estimator import HardwarePowerSimulator, clear_hw_run_memo
 from repro.hw.synth import (
     AluOp,
     ConstSrc,
@@ -142,11 +142,30 @@ def test_gate_level_matches_behavioral(body, bindings, event_value):
     simulator = HardwarePowerSimulator(cfsm)
     for name, value in bindings.items():
         simulator.poke_variable(name, value)
+    # The run ends in the cycle that raises ``done``; an emission strobed
+    # in that same cycle would be lost, so no strobe may be high in it.
+    sim = simulator.simulator
+    ports = sim.netlist.output_ports
+    strobe_nets = [ports[port][0] for port in simulator.block.strobe_ports.values()]
+    done_net = ports["done"][0]
+    step = sim.step
+    done_cycles = []
+
+    def checked_step(inputs=None):
+        energy = step(inputs)
+        if sim.values[done_net]:
+            done_cycles.append(sim.cycle)
+            assert not any(sim.values[net] for net in strobe_nets)
+        return energy
+
+    sim.step = checked_step
+    clear_hw_run_memo()  # a memo replay would not step
     result = simulator.run_transition(
         "t",
         {EVENT_IN: event_value},
         read_values=[value for _, value in trace.shared_reads],
     )
+    assert done_cycles == [sim.cycle]
 
     for name in VAR_NAMES:
         assert simulator.read_variable(name) == state[name] & MASK, name

@@ -6,7 +6,6 @@ from repro.bus.arbiter import PriorityArbiter
 from repro.bus.busmodel import SharedBus
 from repro.bus.dma import block_sizes, blocks_needed
 from repro.bus.model import BusParameters, BusRequest
-from repro.bus.power import average_bus_power, bus_power_report
 
 
 class TestBusParameters:
@@ -138,27 +137,3 @@ class TestSharedBus:
         assert len(activity["addr"]) == 6
         assert len(activity["data"]) == 10
 
-
-class TestBusPower:
-    def test_formula(self):
-        params = BusParameters(vdd=2.0, clock_period_ns=10.0,
-                               line_capacitance_f=1e-12)
-        # One line toggling every cycle: P = 1/2 V^2 f C.
-        power = average_bus_power(params, [100], 100)
-        assert power == pytest.approx(0.5 * 4.0 * 1e8 * 1e-12)
-
-    def test_zero_cycles(self):
-        assert average_bus_power(BusParameters(), [5], 0) == 0.0
-
-    def test_capacitance_list_mismatch(self):
-        with pytest.raises(ValueError):
-            average_bus_power(BusParameters(), [1, 2], 10,
-                              line_capacitance_f=[1e-12])
-
-    def test_report_keys(self):
-        bus = SharedBus()
-        bus.submit("m", True, 0, [3, 5], 0.0)
-        bus.advance(float("inf"))
-        report = bus_power_report(bus, 1000.0)
-        for key in ("energy_j", "avg_power_w", "utilization", "grants", "words"):
-            assert key in report

@@ -229,31 +229,6 @@ class TestMerge:
         assert by_pid[222]["ts"] == 500000
         assert by_pid[222]["args"]["job"] == "b"
 
-    def test_merged_span_ids_namespaced_per_worker(self):
-        # Workers share seeded RNG state, so two jobs can mint the SAME
-        # span ids; the merge must keep their trees from aliasing.
-        spans = [
-            ("parent", "main", 0, 100, 0, {"span_id": "12ab"}),
-            ("child", "main", 10, 50, 1,
-             {"span_id": "99ff", "parent_span_id": "12ab"}),
-        ]
-        results = [
-            JobResult(label="a", index=0, worker_pid=111, spans=spans,
-                      started_offset_s=0.0),
-            JobResult(label="b", index=1, worker_pid=222, spans=spans,
-                      started_offset_s=0.0),
-        ]
-        slices = [e for e in merged_chrome_trace_events(results)
-                  if e["ph"] == "X"]
-        ids = {e["args"]["span_id"] for e in slices}
-        assert ids == {"w111/12ab", "w111/99ff", "w222/12ab", "w222/99ff"}
-        # Parent links stay inside the owning worker's namespace.
-        children = [e for e in slices if e["name"] == "child"]
-        for event in children:
-            assert event["args"]["parent_span_id"].startswith(
-                "w%d/" % event["pid"]
-            )
-
     def test_merged_obs_span_ids_pass_through(self):
         # Ids minted by repro.obs.context already carry the producing
         # process's pid (<pid-hex>-<counter-hex>): globally unique, and
