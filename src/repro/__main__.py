@@ -44,21 +44,7 @@ from typing import List, Optional
 from repro.cfsm.describe import describe_network, implementation_statistics
 from repro.core import PowerCoEstimator
 from repro.ioutil import atomic_write_text
-from repro.core.explorer import (
-    DesignSpaceExplorer,
-    parallel_sweep,
-    priority_permutations,
-)
-from repro.core.macromodel import MacroModelCharacterizer
 from repro.master.export import export_power_csv, export_power_vcd
-from repro.parallel import (
-    JobSpec,
-    PoolStats,
-    job_seed,
-    merge_metrics_snapshots,
-    run_jobs,
-    write_merged_chrome_trace,
-)
 from repro.systems import build_bundle, builder_spec, system_names, tcpip
 from repro.systems.bundle import SystemBundle
 from repro.telemetry import Telemetry, render_report, write_chrome_trace
@@ -233,6 +219,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _estimate_many(args: argparse.Namespace) -> int:
     """Fan independent system estimates out over the process pool."""
+    from repro.parallel import JobSpec, PoolStats, job_seed, run_jobs
+
     for option in ("waveform_csv", "waveform_vcd", "trace", "metrics"):
         if getattr(args, option, None):
             raise SystemExit(
@@ -298,6 +286,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _explore_body(args: argparse.Namespace) -> int:
+    from repro.core.explorer import (
+        DesignSpaceExplorer,
+        parallel_sweep,
+        priority_permutations,
+    )
+    from repro.parallel import (
+        PoolStats,
+        merge_metrics_snapshots,
+        write_merged_chrome_trace,
+    )
+
     _preflight(
         tcpip.build_system(
             dma_block_words=args.dma[0],
@@ -440,6 +439,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.core.macromodel import MacroModelCharacterizer
+
     characterizer = MacroModelCharacterizer()
     parameter_file = characterizer.characterize()
     text = parameter_file.serialize()

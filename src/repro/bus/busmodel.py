@@ -3,9 +3,11 @@
 The bus is a queued resource: masters submit word transfers, the
 arbiter grants the bus one DMA burst at a time (so higher-priority
 masters can grab it between bursts of a long transfer), and every
-granted burst advances a busy-until timeline.  Address and data line
-toggles are counted against the actual values moved, which is the
-switching activity ``A(line_i)`` in the paper's bus power formula.
+granted burst advances a busy-until timeline.  Each burst is charged
+for the address and data line toggles of the actual values moved (the
+Hamming distance to the previous value on each bus), which sums the
+switching activity ``A(line_i)`` of the paper's bus power formula over
+the lines.
 
 The simulation master drives the model with two calls:
 
@@ -47,8 +49,6 @@ class SharedBus:
                                        policy=self.params.arbitration)
         self.pending: List[BusRequest] = []
         self.busy_until_ns = 0.0
-        self.addr_activity = [0] * self.params.addr_width
-        self.data_activity = [0] * self.params.data_width
         self.total_energy = 0.0
         self.total_busy_cycles = 0
         self.total_words = 0
@@ -178,29 +178,13 @@ class SharedBus:
 
     def _drive_address(self, address: int) -> float:
         mask = (1 << self.params.addr_width) - 1
-        flipped = (self._last_addr ^ address) & mask
-        toggles = 0
-        bit = 0
-        while flipped:
-            if flipped & 1:
-                self.addr_activity[bit] += 1
-                toggles += 1
-            flipped >>= 1
-            bit += 1
+        toggles = ((self._last_addr ^ address) & mask).bit_count()
         self._last_addr = address & mask
         return toggles * self.params.energy_per_toggle()
 
     def _drive_data(self, word: int) -> float:
         mask = (1 << self.params.data_width) - 1
-        flipped = (self._last_data ^ word) & mask
-        toggles = 0
-        bit = 0
-        while flipped:
-            if flipped & 1:
-                self.data_activity[bit] += 1
-                toggles += 1
-            flipped >>= 1
-            bit += 1
+        toggles = ((self._last_data ^ word) & mask).bit_count()
         self._last_data = word & mask
         return toggles * self.params.energy_per_toggle()
 
@@ -211,13 +195,6 @@ class SharedBus:
         return blocks_needed(
             total_words, self.params.dma_enabled, self.params.dma_block_words
         )
-
-    def line_activity(self) -> Dict[str, List[int]]:
-        """Toggle counts per address/data line (LSB first)."""
-        return {
-            "addr": list(self.addr_activity),
-            "data": list(self.data_activity),
-        }
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of elapsed time the bus was driving a burst."""

@@ -428,7 +428,11 @@ def parallel_sweep(
     todo_indices = [i for i in range(len(plan.specs)) if i not in restored]
 
     def handle(result) -> None:
-        if result.error is None and result.value is not None:
+        if (
+            checkpoint_path is not None
+            and result.error is None
+            and result.value is not None
+        ):
             record(result.label, design_point_payload(result.value))
         if on_point is not None:
             on_point(result)

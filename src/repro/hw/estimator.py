@@ -10,7 +10,7 @@ netlist, exactly like a real hardware block between reactions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.deadline import WatchdogTimeout, check_deadline, current_deadline
 from repro.errors import ReproError
@@ -91,7 +91,7 @@ class HardwarePowerSimulator:
             self.block.netlist, self.library, telemetry=self.telemetry
         )
         self.max_cycles_per_transition = max_cycles_per_transition
-        #: Set by :meth:`poke_variable`: the combinational nets must be
+        #: Set by :meth:`poke_variables`: the combinational nets must be
         #: settled before the next simulated run.
         self._needs_settle = False
         self.invocations = 0
@@ -109,6 +109,10 @@ class HardwarePowerSimulator:
             net for _, net in self._strobe_watch
         )
         self._done_net: int = output_ports["done"][0]
+        self._register_nets: Dict[str, Sequence[int]] = {
+            name: output_ports[port]
+            for name, port in self.block.register_ports.items()
+        }
         # Nets that fully determine a run: all flip-flop outputs plus
         # all primary-input nets (unmentioned input ports hold their
         # previous values across runs, so they are state too).  The
@@ -347,17 +351,24 @@ class HardwarePowerSimulator:
         """Current value of a CFSM variable register (for checking)."""
         return self.simulator.peek(self.block.register_ports[name])
 
-    def poke_variable(self, name: str, value: int) -> None:
-        """Force a CFSM variable register to ``value``.
+    def poke_variables(self, values: Mapping[str, int]) -> None:
+        """Force CFSM variable registers to the given values, by name.
 
         Used by acceleration strategies: when a cached estimate replaces
         a gate-level run, the netlist's architectural state is brought
         back in sync with the behavioral reference so that a later
-        gate-level run starts from the right values.
+        gate-level run starts from the right values.  Each value is cut
+        to its register's width; the whole mapping is one
+        :meth:`CompiledSimulator.load`.
         """
-        port = self.block.register_ports[name]
-        nets = self.block.netlist.output_ports[port]
-        self.simulator.load(
-            [(value >> index) & 1 for index in range(len(nets))], nets
-        )
+        if not values:
+            return
+        nets: List[int] = []
+        bits: List[int] = []
+        register_nets = self._register_nets
+        for name, value in values.items():
+            port_nets = register_nets[name]
+            nets += port_nets
+            bits += [(value >> index) & 1 for index in range(len(port_nets))]
+        self.simulator.load(bits, nets)
         self._needs_settle = True

@@ -491,7 +491,7 @@ class CompiledSimulator:
         """Re-evaluate combinational logic without charging energy.
 
         Required after out-of-band state pokes (see
-        ``HardwarePowerSimulator.poke_variable``): flip-flop D inputs
+        ``HardwarePowerSimulator.poke_variables``): flip-flop D inputs
         must be made consistent with the poked Q values before the next
         clock edge, otherwise the edge would restore stale state.
         """

@@ -10,7 +10,7 @@ and the shared-bus model.  The unit of synchronization is one CFSM
 transition, exactly as in the paper's Section 3.
 """
 
-from repro.master.kernel import EventQueue, QueueItem
+from repro.master.kernel import EventQueue
 from repro.master.rtos import RtosConfig, RtosScheduler
 from repro.master.tracing import EnergyAccountant, EnergySample
 from repro.master.master import MasterConfig, RunStats, SharedMemory, SimulationMaster
@@ -22,7 +22,6 @@ from repro.master.export import (
 
 __all__ = [
     "EventQueue",
-    "QueueItem",
     "RtosConfig",
     "RtosScheduler",
     "EnergyAccountant",

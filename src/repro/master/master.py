@@ -21,6 +21,7 @@ which is exactly the trade-off the paper's Section 4 explores.
 
 from __future__ import annotations
 
+import heapq
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -293,20 +294,32 @@ class SimulationMaster:
             else None
         )
 
-        while self.queue:
-            if self.stats.dispatched >= self.config.max_dispatches:
-                self.stats.truncated = True
+        handlers = {
+            "deliver": self._on_deliver,
+            "try": self._on_try,
+            "dispatch": self._on_dispatch,
+            "complete": self._on_complete,
+            "buskick": self._on_buskick,
+        }
+        heap = self.queue.heap
+        pop = heapq.heappop
+        stats = self.stats
+        max_dispatches = self.config.max_dispatches
+        horizon = float("inf") if until_ns is None else until_ns
+        while heap:
+            if stats.dispatched >= max_dispatches:
+                stats.truncated = True
                 break
             if depth_histogram is not None:
-                depth_histogram.observe(len(self.queue))
-            item = self.queue.pop()
-            if until_ns is not None and item.time > until_ns:
-                self.stats.truncated = True
+                depth_histogram.observe(len(heap))
+            time, _, kind, payload = pop(heap)
+            if time > horizon:
+                stats.truncated = True
                 break
-            self._now = max(self._now, item.time)
-            self.stats.dispatched += 1
-            handler = getattr(self, "_on_" + item.kind)
-            handler(item.time, item.payload)
+            if time > self._now:
+                self._now = time
+            stats.dispatched += 1
+            handlers[kind](time, payload)
 
         self.stats.end_time_ns = self._now
         self._charge_hw_idle()
@@ -376,9 +389,7 @@ class SimulationMaster:
                 for var, value in process.state.items():
                     process.memory[memory_map.variables[var]] = value
         elif process.hw is not None:
-            mask = (1 << process.cfsm.width) - 1
-            for var, value in process.state.items():
-                process.hw.poke_variable(var, value & mask)
+            process.hw.poke_variables(process.state)
 
     def _on_try(self, now: float, name: str) -> None:
         process = self.processes[name]
@@ -625,9 +636,7 @@ class SimulationMaster:
         else:
             def run_low_level() -> Estimate:
                 started = _time.perf_counter()
-                mask = (1 << process.cfsm.width) - 1
-                for var, value in pre_state.items():
-                    process.hw.poke_variable(var, value & mask)
+                process.hw.poke_variables(pre_state)
                 result = process.hw.run_transition(
                     transition.name,
                     consumed_values,
@@ -677,9 +686,7 @@ class SimulationMaster:
             for var, value in trace.var_updates.items():
                 process.memory[memory_map.variables[var]] = value
         elif process.kind == Implementation.HW and not estimate.ran_low_level:
-            mask = (1 << process.cfsm.width) - 1
-            for var, value in process.state.items():
-                process.hw.poke_variable(var, value & mask)
+            process.hw.poke_variables(process.state)
         return estimate
 
     def _estimate_supervised(self, job: EstimationJob) -> Estimate:

@@ -17,14 +17,12 @@ stacked counter track above the span timeline (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
-@dataclass(frozen=True)
-class EnergySample:
+class EnergySample(NamedTuple):
     """One attributed slice of energy."""
 
     component: str

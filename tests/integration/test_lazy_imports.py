@@ -7,7 +7,9 @@ interpreter running a ``full`` tcpip estimate must therefore leave all
 four out of ``sys.modules``, and asking for a lazy name must still work.
 ``repro.parallel`` loads its process pool and merge helpers the same
 way, so building a bundled system by name does not import the pool or
-``multiprocessing``.
+``multiprocessing``.  The command line imports the explorer, the
+macro-model characterizer and the pool inside the subcommands that use
+them, so ``python -m repro estimate`` on one system loads none of them.
 """
 
 import json
@@ -71,6 +73,28 @@ print(json.dumps({"loaded": loaded,
 """ % (POOL_MODULES,)
 
 
+CLI_MODULES = (
+    "repro.core.explorer",
+    "repro.core.macromodel",
+    "repro.parallel.pool",
+    "multiprocessing",
+    "repro.obs",
+    "repro.resilience",
+)
+
+#: ``python -m repro estimate fig1 --strategy full``, then a look at
+#: what it imported.
+CLI_SCRIPT = """
+import json, runpy, sys
+sys.argv = ["repro", "estimate", "fig1", "--strategy", "full"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert not exit.code, exit.code
+print(json.dumps({"loaded": [name for name in %r if name in sys.modules]}))
+""" % (CLI_MODULES,)
+
+
 def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -90,6 +114,10 @@ def test_build_bundle_leaves_process_pool_unloaded():
     assert _run(BUNDLE_SCRIPT) == {"loaded": [],
                                    "run_jobs": "repro.parallel.pool",
                                    "now": True}
+
+
+def test_cli_single_estimate_leaves_sweep_and_pool_unloaded():
+    assert _run(CLI_SCRIPT) == {"loaded": []}
 
 
 def test_lazy_names_resolve_in_process():

@@ -1,5 +1,9 @@
 """Integration: simulation-master mechanics on purpose-built networks."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.bus.model import BusParameters
@@ -8,8 +12,10 @@ from repro.cfsm.events import Event
 from repro.cfsm.expr import add, const, event_value, var
 from repro.cfsm.model import Implementation
 from repro.cfsm.sgraph import assign, emit, loop, shared_read, shared_write
+from repro.core.coestimator import PowerCoEstimator
 from repro.master.master import MasterConfig, MasterError, SimulationMaster
 from repro.master.rtos import RtosConfig
+from repro.systems import tcpip
 
 
 def relay_network(on_bus=False):
@@ -169,3 +175,48 @@ class TestIdleCharging:
         master = SimulationMaster(network, config=config)
         master.run([Event("IN", value=1, time=0.0)])
         assert master.accountant.by_category.get("idle", 0) == 0
+
+
+class TestTruncationPins:
+    """A run cut by a horizon or a dispatch cap is pinned bit for bit.
+
+    The figures were recorded before the event loop popped plain heap
+    tuples: which item is dropped at the cut, how many events were
+    handled and the whole report (wall-clock fields aside) must not
+    move with the loop's bookkeeping.
+    """
+
+    @staticmethod
+    def cut_run(until_ns=None, max_dispatches=None):
+        bundle = tcpip.build_system(num_packets=2)
+        if max_dispatches is not None:
+            bundle.config.max_dispatches = max_dispatches
+        estimator = PowerCoEstimator(bundle.network, bundle.config)
+        result = estimator.estimate(
+            bundle.stimuli(), "full", until_ns=until_ns,
+            shared_memory_image=bundle.shared_memory_image,
+        )
+        payload = {
+            key: value
+            for key, value in dataclasses.asdict(result.report).items()
+            if not key.endswith("_seconds")
+        }
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True, default=repr).encode()
+        ).hexdigest()
+        stats = result.master.stats
+        return (stats.truncated, stats.dispatched, stats.end_time_ns,
+                len(result.master.queue.heap), digest)
+
+    def test_until_ns_cuts_tcpip_midway(self):
+        # The uncut run handles 128 events and ends at 167,320 ns.
+        assert self.cut_run(until_ns=30_000.0) == (
+            True, 64, 29_970.0, 1,
+            "475ad4fbc50f65fc8e816fd5cd7ec4197b2e37a7be66207dcbaee79f5a9baff2",
+        )
+
+    def test_max_dispatches_cuts_tcpip_midway(self):
+        assert self.cut_run(max_dispatches=50) == (
+            True, 50, 27_830.0, 3,
+            "fe7c0a169f5881486a627f2ad57dff92feb3324f3fb16ab5cc41f3a0f1ad25d5",
+        )

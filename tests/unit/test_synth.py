@@ -129,8 +129,22 @@ class TestHardwareEstimator:
 
     def test_poke_then_read_roundtrip(self):
         simulator = HardwarePowerSimulator(make_cfsm([assign("a", const(1))]))
-        simulator.poke_variable("b", 123)
+        simulator.poke_variables({"b": 123})
         assert simulator.read_variable("b") == 123
+
+    def test_poke_variables_cuts_each_value_to_register_width(self):
+        simulator = HardwarePowerSimulator(make_cfsm([assign("a", const(1))]))
+        simulator.poke_variables({"a": (1 << 16) + 5, "b": -1})
+        assert simulator.read_variable("a") == 5
+        assert simulator.read_variable("b") == (1 << 16) - 1
+
+    def test_empty_poke_leaves_the_settle_flag_alone(self):
+        simulator = HardwarePowerSimulator(make_cfsm([assign("a", const(1))]))
+        assert not simulator._needs_settle
+        simulator.poke_variables({})
+        assert not simulator._needs_settle
+        simulator.poke_variables({"b": 4})
+        assert simulator._needs_settle
 
 
 class TestRunMemo:
@@ -145,7 +159,7 @@ class TestRunMemo:
 
         def runs(simulator):
             yield simulator.run_transition("t", {"GO": 5})
-            simulator.poke_variable("b", 2)
+            simulator.poke_variables({"b": 2})
             yield simulator.run_transition("t", {"GO": 1})
 
         clear_hw_run_memo()
@@ -160,7 +174,7 @@ class TestRunMemo:
         results += list(runs(second))
         hits = HW_RUN_MEMO_STATS.hits
         results.append(second.run_transition("t", {"GO": 9}))
-        second.poke_variable("b", 7)
+        second.poke_variables({"b": 7})
         results.append(second.run_transition("t", {"GO": 1}))
         assert HW_RUN_MEMO_STATS.hits == hits
         sim = second.simulator
