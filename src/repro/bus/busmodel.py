@@ -13,11 +13,14 @@ The simulation master drives the model with two calls:
 
 * :meth:`SharedBus.submit` when a transition produces a transfer, and
 * :meth:`SharedBus.advance` before dispatching events at a new time,
-  collecting completed grants to schedule their continuation events.
+  collecting completed grants to schedule their continuation events;
+
+and reads :attr:`SharedBus.next_start_ns` to schedule the next one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -57,6 +60,11 @@ class SharedBus:
         self._last_data = 0
         self._next_id = 0
         self._progress: Dict[int, _Progress] = {}
+        #: When the next burst can start: ``busy_until_ns`` or the
+        #: earliest pending submission, whichever is later (infinity
+        #: with nothing pending).  :meth:`submit` and :meth:`advance`
+        #: keep it current.
+        self.next_start_ns = math.inf
 
     # -- submission ------------------------------------------------------------
 
@@ -81,6 +89,9 @@ class SharedBus:
         )
         self._next_id += 1
         self.pending.append(request)
+        start = max(time_ns, self.busy_until_ns)
+        if start < self.next_start_ns:
+            self.next_start_ns = start
         return request
 
     # -- timeline ------------------------------------------------------------
@@ -94,19 +105,33 @@ class SharedBus:
         at that future time.
         """
         completed: List[BusGrant] = []
-        while self.pending:
+        pending = self.pending
+        while pending:
+            # One pass: the requests submitted by the time the bus
+            # frees, and failing those the earliest submitted ones.
             start = self.busy_until_ns
-            ready = [r for r in self.pending if r.submitted_ns <= start]
+            ready = []
+            earliest = math.inf
+            first: List[BusRequest] = []
+            for request in pending:
+                submitted = request.submitted_ns
+                if submitted <= start:
+                    ready.append(request)
+                elif submitted < earliest:
+                    earliest = submitted
+                    first = [request]
+                elif submitted == earliest:
+                    first.append(request)
             if not ready:
-                earliest = min(r.submitted_ns for r in self.pending)
                 start = earliest
-                ready = [r for r in self.pending if r.submitted_ns <= start]
+                ready = first
             if start > now_ns:
-                break
-            request = self.arbiter.pick(ready)
-            grant = self._serve_burst(request, start)
+                self.next_start_ns = start
+                return completed
+            grant = self._serve_burst(self.arbiter.pick(ready), start)
             if grant is not None:
                 completed.append(grant)
+        self.next_start_ns = math.inf
         return completed
 
     def _serve_burst(self, request: BusRequest, start_ns: float) -> Optional[BusGrant]:

@@ -194,14 +194,6 @@ class CacheSimulator:
             return 1.0
         return 1.0 - self.misses / self.accesses
 
-    def reset_statistics(self) -> None:
-        """Clear counters but keep cache contents."""
-        self.reads = self.writes = 0
-        self.read_misses = self.write_misses = 0
-        self.writebacks = 0
-        self.total_energy = 0.0
-        self.total_stall_cycles = 0
-
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines."""
         dirty = sum(

@@ -62,10 +62,6 @@ class Event:
         """Return a copy of this occurrence stamped with ``time``."""
         return Event(self.name, self.value, time, self.source)
 
-    def with_value(self, value: int) -> "Event":
-        """Return a copy of this occurrence carrying ``value``."""
-        return Event(self.name, value, self.time, self.source)
-
 
 @dataclass
 class BufferedEvent:

@@ -16,7 +16,8 @@ recursively; expression reprs are already fully recursive.
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple
+import weakref
+from typing import Dict, Tuple
 
 from repro.cfsm.model import Cfsm, Transition
 from repro.cfsm.sgraph import Emit, If, Loop, Statement
@@ -61,6 +62,23 @@ def transition_signature(transition: Transition) -> tuple:
     )
 
 
+#: Signatures of sealed CFSMs by ``id``; an entry leaves with its CFSM.
+_SEALED: Dict[int, Tuple] = {}
+
+
+def seal(cfsm: Cfsm) -> None:
+    """Record the signature of ``cfsm`` and return it from now on.
+
+    Only for a CFSM that is never mutated again, such as one of a
+    bundle shared by :func:`repro.systems.shared_bundle`: every later
+    :func:`cfsm_signature` of it returns the recorded signature.
+    """
+    key = id(cfsm)
+    if key not in _SEALED:
+        _SEALED[key] = _walk(cfsm)
+        weakref.finalize(cfsm, _SEALED.pop, key, None)
+
+
 def cfsm_signature(cfsm: Cfsm) -> Tuple:
     """Hashable value identity of a CFSM.
 
@@ -69,6 +87,11 @@ def cfsm_signature(cfsm: Cfsm) -> Tuple:
     residency, datapath width, clock, and every transition body
     recursively.
     """
+    sealed = _SEALED.get(id(cfsm))
+    return _walk(cfsm) if sealed is None else sealed
+
+
+def _walk(cfsm: Cfsm) -> Tuple:
     return (
         cfsm.name,
         cfsm.width,

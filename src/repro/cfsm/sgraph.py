@@ -11,8 +11,8 @@ As POLIS synthesizes each s-graph into C, :meth:`SGraph.execute` runs
 each body as one generated Python function: expressions are inlined,
 and the static part of the trace (macro-operations and memory
 references) is added as constant tuples.  The functions are cached
-process-wide by body content, so a design-space sweep that rebuilds
-its system for every point compiles each body once.  A plain
+process-wide by body content, so each distinct body compiles once per
+process, however many times its system is built.  A plain
 tree-walking interpreter, kept in the test suite
 (``tests/unit/test_sgraph_reference.py``), is the oracle the compiled
 bodies are checked against.
@@ -307,10 +307,9 @@ class SGraph:
 
 #: Compiled transition bodies keyed by content: ``max_iterations`` and
 #: the structural signature of every statement, the value identity the
-#: codegen and synthesis caches also rely on.  A design-space sweep
-#: rebuilds its system for every point and reuses the functions
-#: compiled for the first.  The functions keep no state between calls,
-#: so threads share them.
+#: codegen and synthesis caches also rely on.  Every build of a system
+#: reuses the functions compiled for the first.  The functions keep no
+#: state between calls, so threads share them.
 _COMPILE_CACHE: LruCache[Callable] = LruCache(capacity=512)
 
 SGRAPH_COMPILE_CACHE_STATS = _COMPILE_CACHE.stats

@@ -375,9 +375,10 @@ def parallel_sweep(
 
     ``builder`` names a system-bundle factory (``"module:callable"``,
     e.g. ``"repro.systems.tcpip:build_system"``) that every worker
-    resolves and calls in-process with ``dma_block_words``,
-    ``priorities``, and ``builder_kwargs`` — jobs carry descriptions,
-    never live simulators.
+    resolves and calls in-process with ``dma_block_words`` and
+    ``builder_kwargs``, once per DMA size (see
+    :func:`~repro.parallel.runners.run_explorer_point`) — jobs carry
+    descriptions, never live simulators.
 
     Jobs are *ordered DMA-major* (all priority assignments of one DMA
     size adjacent) so a worker's warm-start cache sees the fewest

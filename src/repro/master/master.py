@@ -22,6 +22,7 @@ which is exactly the trade-off the paper's Section 4 explores.
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -771,12 +772,9 @@ class SimulationMaster:
             self.queue.schedule(now, "deliver", Event(event_name, value, now, source))
 
     def _schedule_bus_kick(self, now: float) -> None:
-        if not self.bus.pending:
+        next_time = self.bus.next_start_ns
+        if next_time == math.inf:
             return
-        next_time = max(self.bus.busy_until_ns, now)
-        earliest = min(request.submitted_ns for request in self.bus.pending)
-        if earliest > next_time:
-            next_time = earliest
         if next_time <= now:
             next_time = now
         if (

@@ -164,10 +164,3 @@ class EnergyAccountant:
             (index * bin_ns, energy / (bin_ns * 1e-9))
             for index, energy in enumerate(energy_bins)
         ]
-
-    def peak_power(self, bin_ns: float, component: Optional[str] = None) -> Tuple[float, float]:
-        """(time, watts) of the peak bin of the waveform."""
-        waveform = self.power_waveform(bin_ns, component=component)
-        if not waveform:
-            return (0.0, 0.0)
-        return max(waveform, key=lambda point: point[1])

@@ -12,16 +12,16 @@ across worker processes:
   timeout, bounded retry on worker crash, ``jobs=1`` running inline so
   the default path is byte-identical to the sequential code);
 * :mod:`repro.parallel.runners` — worker-side entry points that
-  rebuild a system from its builder spec and run one unit of work;
+  get a system from its builder spec and run one unit of work;
 * :mod:`repro.parallel.merge` — merging per-worker metrics snapshots
   and span traces into one timeline (workers become Perfetto
   processes).
 
-Workers rebuild systems from source descriptions rather than receiving
+Workers build systems from source descriptions rather than receiving
 live simulator objects: simulators hold compiled closures and open
-telemetry, which do not pickle, and rebuilding is cheap (it is the
-simulation that is expensive — and each worker's process-wide caches
-make repeated rebuilding cheaper still).
+telemetry, which do not pickle.  Each worker builds a given
+(builder, kwargs) once and shares the bundle read-only with every
+later job (:func:`repro.systems.shared_bundle`).
 """
 
 import importlib

@@ -1,9 +1,12 @@
 """Worker-side entry points.
 
 These are the functions named by :class:`~repro.parallel.jobs.JobSpec`
-``fn`` strings.  Each one rebuilds its system *inside the worker* from
-a builder spec (``"module:callable"``), runs one unit of work, and
-returns a small picklable result (a
+``fn`` strings.  Each one gets its system *inside the worker* from a
+builder spec (``"module:callable"``) through
+:func:`~repro.systems.shared_bundle`, so a process builds each
+(builder, kwargs) once and every later job shares that bundle
+read-only; it runs one unit of work and returns a small picklable
+result (a
 :class:`~repro.core.explorer.DesignPoint` or an
 :class:`~repro.core.report.EnergyReport`) — never a live master or
 simulator, which hold compiled closures that do not pickle.
@@ -23,7 +26,7 @@ from typing import Any, Callable, Dict, Optional, Union
 from repro.core.caching import WarmStartCache
 from repro.core.explorer import DesignPoint, DesignSpaceExplorer
 from repro.core.report import EnergyReport
-from repro.parallel.jobs import resolve_callable
+from repro.systems import shared_bundle
 
 __all__ = [
     "run_explorer_point",
@@ -94,22 +97,23 @@ def run_explorer_point(
     fault_retries: int = 1,
     telemetry=None,
 ) -> DesignPoint:
-    """Build the system in-process and co-estimate one design point.
+    """Co-estimate one design point on this process's shared bundle.
 
     ``builder`` names a function returning a
-    :class:`~repro.systems.bundle.SystemBundle` and is called with
-    ``dma_block_words``, ``priorities``, and ``builder_kwargs``.  With
+    :class:`~repro.systems.bundle.SystemBundle`; the bundle is built
+    (once per process, see :func:`~repro.systems.shared_bundle`) with
+    ``builder_kwargs`` plus ``dma_block_words``.  ``priorities`` never
+    reach the builder: the point applies them to the bus parameters,
+    so every priority order of one DMA size shares one bundle.  With
     ``warm_start=True`` the point runs against this process's shared
     energy cache for ``warm_key`` (guarded, see
     :class:`~repro.core.caching.WarmStartCache`).  A ``fault_plan``
     arms the resilience layer inside the point's master: injected
     estimator failures degrade gracefully instead of failing the job.
     """
-    build = resolve_callable(builder)
     kwargs = dict(builder_kwargs or {})
     kwargs["dma_block_words"] = dma_block_words
-    kwargs["priorities"] = dict(priorities)
-    bundle = build(**kwargs)
+    bundle = shared_bundle(builder, kwargs)
     config = bundle.config
     if fault_plan is not None:
         from dataclasses import replace
@@ -148,7 +152,8 @@ def run_estimate(
     telemetry=None,
     resilience=None,
 ) -> EnergyReport:
-    """Build a system bundle and run one co-estimation; returns the report.
+    """Run one co-estimation on the shared bundle of ``builder`` and
+    ``builder_kwargs``; returns the report.
 
     ``resilience`` (a :class:`~repro.resilience.supervisor.
     ResilienceConfig`) overrides the bundle's own resilience settings —
@@ -158,8 +163,7 @@ def run_estimate(
     """
     from repro.core.coestimator import PowerCoEstimator
 
-    build = resolve_callable(builder)
-    bundle = build(**dict(builder_kwargs or {}))
+    bundle = shared_bundle(builder, builder_kwargs)
     config = bundle.config
     if resilience is not None:
         from dataclasses import replace

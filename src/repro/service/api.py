@@ -22,14 +22,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.cfsm.events import Event
-from repro.cfsm.fingerprint import cfsm_signature
 from repro.errors import ReproError
 from repro.parallel.jobs import JobSpec, job_seed
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import ResilienceConfig
 from repro.systems import builder_spec
-from repro.systems.bundle import SystemBundle
+from repro.systems.bundle import SystemBundle, workload_signature
 
 if TYPE_CHECKING:
     from repro.core.report import EnergyReport
@@ -221,15 +219,6 @@ def parse_request(body: Any,
     )
 
 
-def workload_signature(stimuli: List[Event]) -> str:
-    """Digest of a stimulus list (the workload half of the fingerprint)."""
-    payload = tuple(
-        (event.name, event.value, event.time, event.source)
-        for event in stimuli
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
 def request_fingerprint(bundle: SystemBundle,
                         request: EstimateRequest) -> str:
     """Idempotency key: same fingerprint ⇒ same computation.
@@ -240,17 +229,10 @@ def request_fingerprint(bundle: SystemBundle,
     workload signature of the stimuli, the strategy, the shared-memory
     image, and the fault plan (a chaos request must never coalesce with
     a clean one).  Priority, deadline and request id are deliberately
-    excluded: they change *scheduling*, not the computed answer.
+    excluded: they change *scheduling*, not the computed answer.  The
+    bundle's part is :attr:`SystemBundle.signature`, computed once per
+    bundle.
     """
-    network = bundle.network
-    cfsms = tuple(
-        cfsm_signature(network.cfsms[name]) for name in sorted(network.cfsms)
-    )
-    implementations = tuple(
-        (name, str(network.implementation(name)))
-        for name in sorted(network.cfsms)
-    )
-    memory = tuple(sorted((bundle.shared_memory_image or {}).items()))
     fault = None
     if request.fault_plan is not None:
         fault = (
@@ -261,16 +243,10 @@ def request_fingerprint(bundle: SystemBundle,
             request.fault_plan.seed,
             request.fault_retries,
         )
-    payload = (
-        request.system,
-        request.strategy,
-        cfsms,
-        implementations,
-        memory,
-        workload_signature(bundle.stimuli()),
-        fault,
+    payload = "(%r, %r, %s, %r)" % (
+        request.system, request.strategy, bundle.signature, fault
     )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def estimate_job(request: EstimateRequest, watchdog_s: float,

@@ -14,9 +14,16 @@
 * :mod:`repro.systems.workloads` — seeded stimulus generators.
 
 Every builder returns a :class:`SystemBundle` so examples, tests, and
-benchmarks share one entry point.
+benchmarks share one entry point.  A builder call always returns fresh
+objects; :func:`shared_bundle` (and :func:`build_bundle`, which goes
+through it) builds each spec once per process and hands every later
+caller the same bundle, which is therefore read-only.
 """
 
+from typing import Any, Callable, Dict, Hashable, Optional, Union
+
+from repro.cfsm.fingerprint import seal
+from repro.lru import LruCache
 from repro.systems.bundle import SystemBundle
 from repro.systems import producer_consumer, tcpip, automotive, workloads
 
@@ -25,6 +32,7 @@ __all__ = [
     "BUILDERS",
     "build_bundle",
     "builder_spec",
+    "shared_bundle",
     "system_names",
     "producer_consumer",
     "tcpip",
@@ -67,8 +75,70 @@ def builder_spec(name):
 
 
 def build_bundle(name) -> SystemBundle:
-    """Build a bundled system by name (see :data:`BUILDERS`)."""
+    """The bundled system ``name`` (see :data:`BUILDERS`), shared
+    read-only through :func:`shared_bundle`."""
+    builder, kwargs = builder_spec(name)
+    return shared_bundle(builder, kwargs)
+
+
+#: Built bundles by builder spec and frozen kwargs.  A Fig. 7 sweep
+#: needs one per DMA size and the service one per bundled system;
+#: :func:`repro.lru.clear_process_caches` empties it.
+_BUNDLE_MEMO: LruCache[SystemBundle] = LruCache(capacity=32)
+
+_PLAIN_SCALARS = (str, int, float, bool, type(None))
+
+
+def _freeze(value: Any) -> Hashable:
+    """Type-tagged hashable copy of a plain kwarg value.
+
+    The tags keep ``True`` apart from ``1`` and a list apart from a
+    tuple; anything but str/int/float/bool/None/list/tuple/dict raises
+    ``TypeError``, so an ``id``-based ``repr`` never reaches a key.
+    """
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return (kind.__name__, value)
+    if kind is list or kind is tuple:
+        return (kind.__name__, tuple(_freeze(item) for item in value))
+    if kind is dict:
+        return ("dict", tuple(sorted(
+            (_freeze(key), _freeze(item)) for key, item in value.items()
+        )))
+    raise TypeError("not a plain kwarg value: %s" % kind.__name__)
+
+
+def _memo_key(builder: Union[str, Callable],
+              kwargs: Dict[str, Any]) -> Optional[Hashable]:
+    """The memo key of a build, or ``None`` when it must build fresh."""
+    if not isinstance(builder, str):
+        return None
+    try:
+        return (builder, _freeze(kwargs))
+    except TypeError:  # a non-plain value, or dict keys that do not sort
+        return None
+
+
+def shared_bundle(builder: Union[str, Callable],
+                  kwargs: Optional[Dict[str, Any]] = None) -> SystemBundle:
+    """``builder(**kwargs)``, built once per process and then shared.
+
+    ``builder`` is a ``"module:callable"`` spec.  Every caller with an
+    equal spec and equal kwargs gets the same bundle, so nothing may
+    mutate it: derive a changed configuration with
+    ``dataclasses.replace``.  Callable builders and kwargs holding
+    anything but plain values build fresh on every call.
+    """
     from repro.parallel.jobs import resolve_callable
 
-    builder, kwargs = builder_spec(name)
-    return resolve_callable(builder)(**dict(kwargs))
+    kwargs = dict(kwargs or {})
+    key = _memo_key(builder, kwargs)
+    if key is None:
+        return resolve_callable(builder)(**kwargs)
+    bundle = _BUNDLE_MEMO.get(key)
+    if bundle is None:
+        bundle = resolve_callable(builder)(**kwargs)
+        for cfsm in bundle.network.cfsms.values():
+            seal(cfsm)
+        _BUNDLE_MEMO.put(key, bundle)
+    return bundle

@@ -61,13 +61,6 @@ class TestCacheBehaviour:
         assert hit.stall_cycles == 0
         assert miss.energy_j > hit.energy_j
 
-    def test_reset_statistics_keeps_contents(self):
-        cache = CacheSimulator()
-        cache.access(0, False)
-        cache.reset_statistics()
-        assert cache.accesses == 0
-        assert cache.access(0, False).hit  # contents survived
-
 
 class TestRtos:
     def test_static_priority_order(self):
@@ -148,14 +141,6 @@ class TestEnergyAccountant:
         waveform_p = accountant.power_waveform(10.0, component="p")
         total_p = sum(power * 10e-9 for _, power in waveform_p)
         assert total_p == pytest.approx(5e-9, rel=1e-9)
-
-    def test_peak_power(self):
-        accountant = EnergyAccountant()
-        accountant.add("p", "sw", 0.0, 10.0, 1e-9)
-        accountant.add("p", "sw", 20.0, 30.0, 9e-9)
-        time, peak = accountant.peak_power(10.0)
-        assert time == 20.0
-        assert peak > 0
 
     def test_disabled_samples_forbid_waveforms(self):
         accountant = EnergyAccountant(keep_samples=False)

@@ -28,13 +28,6 @@ class TestEvent:
         assert stamped.value == 3
         assert event.time is None  # original untouched
 
-    def test_with_value(self):
-        event = Event("E", value=1, time=2.0, source="p")
-        changed = event.with_value(9)
-        assert changed.value == 9
-        assert changed.time == 2.0
-        assert changed.source == "p"
-
 
 class TestEventBuffer:
     def make(self):

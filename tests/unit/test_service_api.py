@@ -10,7 +10,7 @@ from repro.service.api import (
     request_fingerprint,
     workload_signature,
 )
-from repro.systems import build_bundle, system_names
+from repro.systems import build_bundle, producer_consumer, system_names
 
 KNOWN = system_names()
 
@@ -144,7 +144,9 @@ class TestPayloadRoundTrip:
 class TestFingerprint:
     def test_same_computation_same_fingerprint(self):
         bundle_a = build_bundle("fig1")
-        bundle_b = build_bundle("fig1")  # a fresh, identical build
+        # A fresh, identical build (``build_bundle`` shares one bundle).
+        bundle_b = producer_consumer.build_system(num_packets=4)
+        assert bundle_b is not bundle_a
         req = parse_request({"system": "fig1"}, known_systems=KNOWN)
         assert (request_fingerprint(bundle_a, req)
                 == request_fingerprint(bundle_b, req))
