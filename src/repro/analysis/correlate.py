@@ -29,12 +29,6 @@ class PeakCorrelation:
     activity_bin_fraction: float
     lift: float
 
-    @property
-    def peak_activity_fraction(self) -> float:
-        if self.peak_bins == 0:
-            return 0.0
-        return self.peak_bins_with_activity / self.peak_bins
-
 
 def activity_bins(
     accountant: EnergyAccountant,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bus.arbiter import PriorityArbiter
-from repro.bus.dma import blocks_needed
 from repro.bus.model import BusGrant, BusParameters, BusRequest
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -214,12 +213,6 @@ class SharedBus:
         return toggles * self.params.energy_per_toggle()
 
     # -- reporting ------------------------------------------------------------
-
-    def expected_blocks(self, total_words: int) -> int:
-        """Arbitrations a transfer of ``total_words`` will need."""
-        return blocks_needed(
-            total_words, self.params.dma_enabled, self.params.dma_block_words
-        )
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of elapsed time the bus was driving a burst."""

@@ -250,24 +250,6 @@ class SGraph:
         collect(self.statements)
         return sorted(found, key=lambda s: s.node_id)
 
-    def variables_read(self) -> List[str]:
-        """Variables possibly read anywhere in the body (sorted)."""
-        names = set()
-        for stmt in self.nodes():
-            for expression in _expressions_of(stmt):
-                names.update(expression.variables())
-        return sorted(names)
-
-    def variables_written(self) -> List[str]:
-        """Variables possibly written anywhere in the body (sorted)."""
-        return sorted(
-            {
-                stmt.target
-                for stmt in self.nodes()
-                if isinstance(stmt, (Assign, SharedRead))
-            }
-        )
-
     def uses_shared_memory(self) -> bool:
         """Whether the body contains shared-memory accesses."""
         return any(

@@ -5,11 +5,17 @@ hands it one CFSM transition (plus the triggering event values) and
 receives a cycle-by-cycle energy report.  Block state (the CFSM's
 variable registers) persists across invocations inside the gate-level
 netlist, exactly like a real hardware block between reactions.
+
+A run returns only its cycles and energy, the two figures the master
+takes from it.  What the transition emits, reads and writes comes from
+the master's behavioural execution, so the estimator watches just two
+output nets: the read-request strobe, to feed the next word of the read
+script, and ``done``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.deadline import WatchdogTimeout, check_deadline, current_deadline
@@ -23,8 +29,6 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.hw.synth import (
     MEM_DATA_IN,
     MEM_READ_REQ,
-    MEM_WRITE_ADDR,
-    MEM_WRITE_DATA,
     SynthesizedBlock,
     synthesize_cfsm_cached,
 )
@@ -50,9 +54,9 @@ class HwEstimatorError(ReproError):
 #:
 #: Keyed by (netlist token, transition, DFF/PI state, inputs, read
 #: script, cycle limit); values are (result, post-run net values as
-#: ``bytes`` -- nets are single bits -- and toggle count).  Entries are
-#: a KB or two each (the net snapshot, one byte per net).
-_HW_RUN_MEMO: "LruCache[Tuple[HwRunResult, bytes, int]]" = LruCache(capacity=4096)
+#: ``bytes`` -- nets are single bits).  Entries are a KB or two each
+#: (the net snapshot, one byte per net).
+_HW_RUN_MEMO: "LruCache[Tuple[HwRunResult, bytes]]" = LruCache(capacity=4096)
 
 HW_RUN_MEMO_STATS = _HW_RUN_MEMO.stats
 
@@ -62,15 +66,15 @@ def clear_hw_run_memo() -> None:
     _HW_RUN_MEMO.clear()
 
 
-@dataclass
+@dataclass(frozen=True)
 class HwRunResult:
-    """Statistics for one hardware transition execution."""
+    """What the master takes from one hardware transition run.
+
+    Frozen, so that the run memo can hand out the recorded result itself.
+    """
 
     cycles: int = 0
     energy: float = 0.0
-    emitted: List[Tuple[str, int]] = field(default_factory=list)
-    mem_read_addresses: List[int] = field(default_factory=list)
-    mem_writes: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class HardwarePowerSimulator:
@@ -94,19 +98,13 @@ class HardwarePowerSimulator:
         #: Set by :meth:`poke_variables`: the combinational nets must be
         #: settled before the next simulated run.
         self._needs_settle = False
-        self.invocations = 0
-        self.total_cycles = 0
-        self.total_energy = 0.0
-        # Strobe/done polling happens every simulated cycle; resolve the
-        # port-name -> net indirection once instead of sorting and
-        # peeking per cycle (strobes and ``done`` are 1-bit ports).
+        # The read-request strobe and ``done`` are polled every simulated
+        # cycle; resolve their 1-bit ports to nets once.  A block that
+        # never reads shared memory has no read strobe.
         output_ports = self.block.netlist.output_ports
-        self._strobe_watch: List[Tuple[str, int]] = [
-            (event, output_ports[port][0])
-            for event, port in sorted(self.block.strobe_ports.items())
-        ]
-        self._strobe_nets: Tuple[int, ...] = tuple(
-            net for _, net in self._strobe_watch
+        read_port = self.block.strobe_ports.get(MEM_READ_REQ)
+        self._read_net: Optional[int] = (
+            None if read_port is None else output_ports[read_port][0]
         )
         self._done_net: int = output_ports["done"][0]
         self._register_nets: Dict[str, Sequence[int]] = {
@@ -159,8 +157,7 @@ class HardwarePowerSimulator:
                 ports (bus *timing* is charged by the master, not here).
 
         Returns:
-            Cycle count, energy, and the emitted
-            (event, value) pairs observed on the strobe/value ports.
+            The run's cycle count and energy.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
@@ -203,57 +200,32 @@ class HardwarePowerSimulator:
         if entry is not None:
             if metrics is not None:
                 metrics.counter("hw.run_memo.hits").inc()
-            recorded, values_after, toggles = entry
+            recorded, values_after = entry
             # A recorded run ends with a step: its end state is settled.
             sim.load(values_after, settled=True)
             self._needs_settle = False
-            sim.cycle += recorded.cycles
-            sim.total_energy += recorded.energy
-            sim.total_toggles += toggles
-            self.invocations += 1
-            self.total_cycles += recorded.cycles
-            self.total_energy += recorded.energy
-            return HwRunResult(
-                cycles=recorded.cycles,
-                energy=recorded.energy,
-                emitted=list(recorded.emitted),
-                mem_read_addresses=list(recorded.mem_read_addresses),
-                mem_writes=list(recorded.mem_writes),
-            )
+            return recorded
         if metrics is not None:
             metrics.counter("hw.run_memo.misses").inc()
         deadline = current_deadline()
         if deadline is not None:
             # A run its deadline stops is undone, as a memo replay
             # loads a run's end state.
-            before = (bytes(values), self._needs_settle, sim.cycle,
-                      sim.total_energy, sim.total_toggles)
+            before = (bytes(values), self._needs_settle)
         if self._needs_settle:
             # Flip-flop D inputs must follow the poked state before the
             # first clock edge.
             sim.settle()
             self._needs_settle = False
-        toggles_before = sim.total_toggles
         try:
             result = self._run_transition(
                 transition_name, input_values, read_values, deadline
             )
         except WatchdogTimeout:
-            (net_values, self._needs_settle, sim.cycle, sim.total_energy,
-             sim.total_toggles) = before
+            net_values, self._needs_settle = before
             sim.load(net_values)
             raise
-        _HW_RUN_MEMO.put(key, (
-            HwRunResult(
-                cycles=result.cycles,
-                energy=result.energy,
-                emitted=list(result.emitted),
-                mem_read_addresses=list(result.mem_read_addresses),
-                mem_writes=list(result.mem_writes),
-            ),
-            bytes(values),
-            sim.total_toggles - toggles_before,
-        ))
+        _HW_RUN_MEMO.put(key, (result, bytes(values)))
         return result
 
     def _run_transition(
@@ -279,18 +251,14 @@ class HardwarePowerSimulator:
                 inputs[port] = value & mask
         data_in = "in_%s" % MEM_DATA_IN
 
-        result = HwRunResult()
         total = 0.0
         cycles = 0
-        script = list(read_values or [])
+        script = read_values or ()
         script_pos = 0
-        pending_strobes: List[str] = []
-        pending_write_addr: Optional[int] = None
         sim = self.simulator
         step = sim.step
         values = sim.values
-        strobe_watch = self._strobe_watch
-        strobe_nets = self._strobe_nets
+        read_net = self._read_net
         done_net = self._done_net
         limit = self.max_cycles_per_transition
         while True:
@@ -305,47 +273,20 @@ class HardwarePowerSimulator:
             inputs = {go: 0} if cycles == 0 else None
             cycles += 1
             total += energy
-
-            # Emission values are registered, so a strobe seen in cycle
-            # k is read from the value port after cycle k+1's edge.
-            for event in pending_strobes:
-                value = sim.peek(self.block.value_ports[event])
-                if event == MEM_READ_REQ:
-                    result.mem_read_addresses.append(value)
-                elif event == MEM_WRITE_ADDR:
-                    pending_write_addr = value
-                elif event == MEM_WRITE_DATA:
-                    result.mem_writes.append((pending_write_addr or 0, value))
-                    pending_write_addr = None
-                else:
-                    result.emitted.append((event, value))
-            if any(map(values.__getitem__, strobe_nets)):
-                pending_strobes = [
-                    event for event, net in strobe_watch if values[net]
-                ]
-                if MEM_READ_REQ in pending_strobes:
-                    if script_pos >= len(script):
-                        raise HwEstimatorError(
-                            "transition %s.%s issued more memory reads than "
-                            "the supplied read script"
-                            % (self.cfsm.name, transition_name)
-                        )
-                    if inputs is None:
-                        inputs = {}
-                    inputs[data_in] = script[script_pos] & mask
-                    script_pos += 1
-            elif pending_strobes:
-                pending_strobes = []
+            if read_net is not None and values[read_net]:
+                if script_pos >= len(script):
+                    raise HwEstimatorError(
+                        "transition %s.%s issued more memory reads than "
+                        "the supplied read script"
+                        % (self.cfsm.name, transition_name)
+                    )
+                if inputs is None:
+                    inputs = {}
+                inputs[data_in] = script[script_pos] & mask
+                script_pos += 1
             if values[done_net]:
                 break
-
-        result.cycles = cycles
-        result.energy = total
-
-        self.invocations += 1
-        self.total_cycles += result.cycles
-        self.total_energy += result.energy
-        return result
+        return HwRunResult(cycles, total)
 
     def read_variable(self, name: str) -> int:
         """Current value of a CFSM variable register (for checking)."""

@@ -88,10 +88,6 @@ class GateLibrary:
             raise KeyError("no cell named %r in library" % name)
         return self.cells[name]
 
-    def cell_names(self) -> Tuple[str, ...]:
-        """All cell names (sorted)."""
-        return tuple(sorted(self.cells))
-
     def signature(self) -> Tuple:
         """Hashable value identity of the library.
 

@@ -39,7 +39,9 @@ gates they may have made inconsistent and restarts the generators
 evaluation.
 
 The per-cycle energy sequence is exactly what the paper's modified SIS
-power simulator reports back to the simulation master.
+power simulator reports back to the simulation master.  A kernel yields
+only its running energy sum: no caller needs a toggle count, and
+``values`` shows which nets changed.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def clear_compile_cache() -> None:
 #: holding the driven net, the net, the cell name (a parameter bound to
 #: the cell's switching energy) and the fanout marks.  Nets are single
 #: bits, so a changed net is the complement of its old value.
-_TOGGLE = "if {0} != {1}: {1} ^= 1; v[{2}] = {1}; e += {3}; n += 1{4}"
+_TOGGLE = "if {0} != {1}: {1} ^= 1; v[{2}] = {1}; e += {3}{4}"
 
 
 def _kernel(
@@ -157,7 +159,7 @@ def _kernel(
 
     It loads the nets in ``local_of`` into their locals and, if
     ``dirty``, sets the flags at positions ``own``; then it runs ``body``
-    once per value sent in and yields ``(e, n)``.  Flag ``gI`` belongs
+    once per value sent in and yields ``e``.  Flag ``gI`` belongs
     to the gate at position I, or, from the gate count on, to the
     flip-flop at position I minus the gate count; the kernel declares only
     the ``touched`` flags, as free variables (parameters of an
@@ -173,17 +175,17 @@ def _kernel(
     ]
     if touched:
         lines.append("  nonlocal " + flags)
-    # ``e`` and ``n`` come first, so they get one-byte local indices.
-    lines.append("  e = n = 0")
+    # ``e`` comes first, so it gets a one-byte local index.
+    lines.append("  e = 0")
     if len(local_of) > 1:
         lines.append("  %s, = NETS(v)" % ", ".join(local_of.values()))
     elif local_of:
         lines.append("  %s = NETS(v)" % (*local_of.values(),))
     if own:
         lines.append("  if dirty: %s = True" % " = ".join("g%d" % i for i in own))
-    lines += ["  e = yield", "  while True:", "   n = 0"]
+    lines += ["  e = yield", "  while True:"]
     lines += ["   " + line for line in body]
-    lines.append("   e = yield e, n")
+    lines.append("   e = yield e")
     module = compile("\n".join(lines), "<%s>" % name, "exec")
     code = next(
         const
@@ -240,9 +242,6 @@ class CompiledSimulator:
         #: Whether the next start flags every gate (see :meth:`load`).
         self._dirty = True
         self.values: List[int] = []
-        self.cycle = 0
-        self.total_energy = 0.0
-        self.total_toggles = 0
         self.reset()
 
     # -- construction ---------------------------------------------------------
@@ -279,7 +278,7 @@ class CompiledSimulator:
         Every kernel keeps the nets it drives in locals, loaded from
         ``v`` when the generator starts.  Each value sent in is the
         cycle's running energy; the kernel adds the energy of its
-        toggles in netlist order and yields it with its toggle count.
+        toggles in netlist order and yields the sum.
         ``v`` is written on every toggle, keeping it authoritative for
         the estimator, the ports and the other kernels, and every toggle
         marks the gates and flip-flops reading the toggled net.  A
@@ -483,9 +482,6 @@ class CompiledSimulator:
             netlist.reset_values = tuple(self.values)
         else:
             self.load(settled, settled=True)
-        self.cycle = 0
-        self.total_energy = 0.0
-        self.total_toggles = 0
 
     def settle(self) -> None:
         """Re-evaluate combinational logic without charging energy.
@@ -501,7 +497,10 @@ class CompiledSimulator:
             send(0.0)
 
     def step(self, inputs: Optional[Dict[str, int]] = None) -> float:
-        """Advance one clock cycle; returns the energy in joules.
+        """Advance one clock cycle; returns its energy in joules.
+
+        The simulator keeps no running totals: the caller sums the
+        cycles and energies it needs.
 
         ``inputs`` maps primary-input port names to bus values; ports
         not mentioned hold their previous values.  An unknown port name
@@ -517,10 +516,8 @@ class CompiledSimulator:
         if edge_sends is None:
             edge_sends = self._start()
         energy = self._clock_energy
-        toggles = 0
         for send in edge_sends:
-            energy, edge_toggles = send(energy)
-            toggles += edge_toggles
+            energy = send(energy)
 
         # New primary-input values for this cycle.
         if inputs:
@@ -533,7 +530,6 @@ class CompiledSimulator:
                     value >>= 1
                     if v[net] != bit:
                         energy += self.pi_energy_j
-                        toggles += 1
                         v[net] = bit
                         for reader in readers[net]:
                             flags[reader].cell_contents = True
@@ -541,14 +537,8 @@ class CompiledSimulator:
         # One running gate-energy sum, in netlist order, across chunks.
         gate_energy = 0.0
         for send in self._chunk_sends:
-            gate_energy, chunk_toggles = send(gate_energy)
-            toggles += chunk_toggles
-        energy += gate_energy
-
-        self.cycle += 1
-        self.total_energy += energy
-        self.total_toggles += toggles
-        return energy
+            gate_energy = send(gate_energy)
+        return energy + gate_energy
 
     def peek(self, port: str) -> int:
         """Current value of an output port bus (LSB-first)."""

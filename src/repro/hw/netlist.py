@@ -336,20 +336,6 @@ class NetlistBuilder:
             nets = paired
         return nets[0]
 
-    def and_tree(self, nets: Sequence[int]) -> int:
-        """Balanced AND over any number of nets."""
-        nets = list(nets)
-        if not nets:
-            return CONST1
-        while len(nets) > 1:
-            paired = []
-            for index in range(0, len(nets) - 1, 2):
-                paired.append(self.and_(nets[index], nets[index + 1]))
-            if len(nets) % 2:
-                paired.append(nets[-1])
-            nets = paired
-        return nets[0]
-
     # -- buses ------------------------------------------------------------------
 
     def const_bus(self, value: int, width: int) -> List[int]:
@@ -409,10 +395,6 @@ class NetlistBuilder:
     def is_zero(self, a: Sequence[int]) -> int:
         """1 when every bit of ``a`` is 0."""
         return self.not_(self.or_tree(list(a)))
-
-    def bus_eq(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """1 when the buses carry equal values."""
-        return self.is_zero(self.bus_xor(a, b))
 
     def barrel_shift(
         self, a: Sequence[int], amount: Sequence[int], left: bool

@@ -112,13 +112,6 @@ class MonteCarloResult:
     cycles: int
     converged: bool
 
-    @property
-    def relative_halfwidth(self) -> float:
-        """Half-width of the confidence interval relative to the mean."""
-        if self.average_power_w == 0:
-            return 0.0
-        return self.confidence_halfwidth_w / self.average_power_w
-
 
 def monte_carlo_power(
     netlist: Netlist,

@@ -75,11 +75,6 @@ class RtosScheduler:
         """Whether any process is runnable."""
         return bool(self._ready)
 
-    @property
-    def ready_processes(self) -> List[str]:
-        """Snapshot of the ready queue."""
-        return list(self._ready)
-
     def pick(self) -> Optional[str]:
         """Choose (and remove) the next process to dispatch.
 

@@ -164,10 +164,6 @@ class FaultCounters:
     invocations: Dict[str, int] = field(default_factory=dict)
     injected: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def snapshot(self) -> Dict[str, float]:
         flat: Dict[str, float] = {}
         for site, count in sorted(self.invocations.items()):

@@ -3,7 +3,10 @@
 The ISS plays the role of the paper's enhanced SPARCsim: it executes
 object code produced by :mod:`repro.sw.codegen` and reports, for every
 invocation, the clock cycles consumed and the energy drawn according to
-an :class:`repro.sw.power_model.InstructionPowerModel`.
+an :class:`repro.sw.power_model.InstructionPowerModel`.  Those two
+figures, plus the instruction count that telemetry reports, are all an
+invocation returns: the master takes what a transition emits and writes
+from behavioural execution.
 
 The timing model covers the effects the paper lists for SPARCsim:
 register interlocks (a load immediately followed by a use of the loaded
@@ -22,11 +25,11 @@ path pays it only once, so the additive macro-model over-estimates.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import count, repeat
 from typing import (
     Callable, Dict, Iterable, List, MutableMapping, NamedTuple, Optional,
-    Sequence, Set, Tuple,
+    Sequence, Tuple,
 )
 from repro.deadline import WatchdogTimeout, check_deadline, current_deadline
 from repro.errors import ReproError
@@ -94,12 +97,12 @@ def clear_decode_cache() -> None:
 
 
 def _exec_nop(iss: "Iss", instruction: Instruction,
-              memory: MutableMapping[int, int], result: "IssResult") -> int:
+              memory: MutableMapping[int, int]) -> int:
     return 0
 
 
 def _exec_seti(iss: "Iss", instruction: Instruction,
-               memory: MutableMapping[int, int], result: "IssResult") -> int:
+               memory: MutableMapping[int, int]) -> int:
     value = instruction.imm or 0
     if instruction.rd != 0:
         iss.registers[instruction.rd] = value
@@ -107,7 +110,7 @@ def _exec_seti(iss: "Iss", instruction: Instruction,
 
 
 def _exec_mov(iss: "Iss", instruction: Instruction,
-              memory: MutableMapping[int, int], result: "IssResult") -> int:
+              memory: MutableMapping[int, int]) -> int:
     value = iss.registers[instruction.rs1]
     if instruction.rd != 0:
         iss.registers[instruction.rd] = value
@@ -116,7 +119,7 @@ def _exec_mov(iss: "Iss", instruction: Instruction,
 
 def _make_alu_executor(func: Callable[[int, int], int]):
     def _exec_alu(iss: "Iss", instruction: Instruction,
-                  memory: MutableMapping[int, int], result: "IssResult") -> int:
+                  memory: MutableMapping[int, int]) -> int:
         registers = iss.registers
         if instruction.rs2 is not None:
             right = registers[instruction.rs2]
@@ -131,7 +134,7 @@ def _make_alu_executor(func: Callable[[int, int], int]):
 
 
 def _exec_cmp(iss: "Iss", instruction: Instruction,
-              memory: MutableMapping[int, int], result: "IssResult") -> int:
+              memory: MutableMapping[int, int]) -> int:
     registers = iss.registers
     if instruction.rs2 is not None:
         right = registers[instruction.rs2]
@@ -144,21 +147,19 @@ def _exec_cmp(iss: "Iss", instruction: Instruction,
 
 
 def _exec_ld(iss: "Iss", instruction: Instruction,
-             memory: MutableMapping[int, int], result: "IssResult") -> int:
+             memory: MutableMapping[int, int]) -> int:
     address = iss.registers[instruction.rs1] + (instruction.imm or 0)
     value = memory.get(address, 0)
     if instruction.rd != 0:
         iss.registers[instruction.rd] = value
-    result.memory_reads.append(address)
     return value
 
 
 def _exec_st(iss: "Iss", instruction: Instruction,
-             memory: MutableMapping[int, int], result: "IssResult") -> int:
+             memory: MutableMapping[int, int]) -> int:
     address = iss.registers[instruction.rs1] + (instruction.imm or 0)
     value = iss.registers[instruction.rd]
     memory[address] = value
-    result.memory_writes.append(address)
     return value
 
 
@@ -221,20 +222,16 @@ class IssError(ReproError):
     """Raised on malformed executions (runaway loops, bad delay slots)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IssResult:
-    """Statistics returned for one ISS invocation."""
+    """What the master takes from one ISS invocation.
+
+    Frozen, so that the run memo can hand out the recorded result itself.
+    """
 
     cycles: int = 0
     energy: float = 0.0
     instruction_count: int = 0
-    stall_cycles: int = 0
-    branches_taken: int = 0
-    class_counts: Dict[str, int] = field(default_factory=dict)
-    memory_reads: List[int] = field(default_factory=list)
-    memory_writes: List[int] = field(default_factory=list)
-    executed: List[Instruction] = field(default_factory=list)
-    stopped_at_breakpoint: Optional[str] = None
 
 
 # -- exact run memo -------------------------------------------------------------
@@ -246,10 +243,9 @@ class IssResult:
 # first value read from an address not yet stored to, and checked
 # before a replay -- or a value the run itself stored, which the rest of
 # the key already determines.  A replay therefore applies the recorded
-# stores, restores registers and flags, and returns an equal IssResult
-# without interpreting one instruction: reports stay bit-identical.
-# Runs with ``record_trace`` or breakpoints are not memoized, and a run
-# that raises records nothing.
+# stores, restores registers and flags, and returns the recorded
+# IssResult without interpreting one instruction: reports stay
+# bit-identical.  A run that raises records nothing.
 
 
 class _Recording(NamedTuple):
@@ -262,14 +258,7 @@ class _Recording(NamedTuple):
     registers: Tuple[int, ...]
     flag_eq: bool
     flag_lt: bool
-    cycles: int
-    energy: float
-    instruction_count: int
-    stall_cycles: int
-    branches_taken: int
-    class_counts: Tuple[Tuple[str, int], ...]
-    memory_reads: Sequence[int]
-    memory_writes: Sequence[int]
+    result: IssResult
 
 
 #: Keyed by (program token, power-model token, entry, registers, flags,
@@ -374,13 +363,11 @@ class Iss:
         program: Program,
         power_model: Optional[InstructionPowerModel] = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        record_trace: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.program = program
         self.power_model = power_model or InstructionPowerModel.default_sparclite()
         self.max_instructions = max_instructions
-        self.record_trace = record_trace
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.registers = [0] * NUM_REGISTERS
         self._flag_eq = False
@@ -396,31 +383,24 @@ class Iss:
 
     # -- public API ---------------------------------------------------------
 
-    def run(
-        self,
-        entry: str,
-        memory: MutableMapping[int, int],
-        breakpoints: Optional[Set[str]] = None,
-    ) -> IssResult:
+    def run(self, entry: str, memory: MutableMapping[int, int]) -> IssResult:
         """Execute from label ``entry`` until RET at call depth zero.
 
         Args:
             entry: entry-point label (one CFSM transition).
             memory: word-addressed data memory, updated in place.
-            breakpoints: optional labels; execution stops *before* the
-                first instruction of a breakpoint label is executed.
 
         Returns:
-            Cycle/energy statistics for the invocation, including the
-            pipeline-fill cost.
+            The invocation's cycles and energy, including the
+            pipeline-fill cost, and its instruction count.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return self._run_memoized(entry, memory, breakpoints)
+            return self._run_memoized(entry, memory)
         with telemetry.tracer.span(
             "iss.run", track="iss", args={"entry": entry}
         ) as span:
-            result = self._run_memoized(entry, memory, breakpoints)
+            result = self._run_memoized(entry, memory)
             span.set("cycles", result.cycles)
             span.set("instructions", result.instruction_count)
         metrics = telemetry.metrics
@@ -430,16 +410,9 @@ class Iss:
         return result
 
     def _run_memoized(
-        self,
-        entry: str,
-        memory: MutableMapping[int, int],
-        breakpoints: Optional[Set[str]] = None,
+        self, entry: str, memory: MutableMapping[int, int]
     ) -> IssResult:
         """Replay an identical previous invocation, or run and record it."""
-        if breakpoints or self.record_trace:
-            return self._run_program(
-                entry, _RecordingMemory(memory), breakpoints
-            )
         key = (
             self._program_token,
             self._model_token,
@@ -462,16 +435,7 @@ class Iss:
             self.registers[:] = recording.registers
             self._flag_eq = recording.flag_eq
             self._flag_lt = recording.flag_lt
-            return IssResult(
-                cycles=recording.cycles,
-                energy=recording.energy,
-                instruction_count=recording.instruction_count,
-                stall_cycles=recording.stall_cycles,
-                branches_taken=recording.branches_taken,
-                class_counts=dict(recording.class_counts),
-                memory_reads=list(recording.memory_reads),
-                memory_writes=list(recording.memory_writes),
-            )
+            return recording.result
         ISS_RUN_MEMO_STATS.misses += 1
         if metrics is not None:
             metrics.counter("iss.run_memo.misses").inc()
@@ -485,24 +449,12 @@ class Iss:
             tuple(self.registers),
             self._flag_eq,
             self._flag_lt,
-            result.cycles,
-            result.energy,
-            result.instruction_count,
-            result.stall_cycles,
-            result.branches_taken,
-            tuple(result.class_counts.items()),
-            _pack(result.memory_reads),
-            _pack(result.memory_writes),
+            result,
         )
         _ISS_RUN_MEMO.put(key, (recording,) + recordings[:_RECORDINGS_PER_KEY - 1])
         return result
 
-    def _run_program(
-        self,
-        entry: str,
-        memory: _RecordingMemory,
-        breakpoints: Optional[Set[str]] = None,
-    ) -> IssResult:
+    def _run_program(self, entry: str, memory: _RecordingMemory) -> IssResult:
         """Interpret one invocation.
 
         Under a deadline (see :mod:`repro.deadline`) the loop polls it
@@ -511,11 +463,11 @@ class Iss:
         """
         deadline = current_deadline()
         if deadline is None:
-            return self._interpret(entry, memory, breakpoints, None)
+            return self._interpret(entry, memory, None)
         registers = self.registers[:]
         flags = (self._flag_eq, self._flag_lt)
         try:
-            return self._interpret(entry, memory, breakpoints, deadline)
+            return self._interpret(entry, memory, deadline)
         except WatchdogTimeout:
             memory.rollback()
             self.registers[:] = registers
@@ -526,7 +478,6 @@ class Iss:
         self,
         entry: str,
         memory: MutableMapping[int, int],
-        breakpoints: Optional[Set[str]],
         deadline: Optional[float],
     ) -> IssResult:
         """The interpreter loop, with hazard and energy accounting inline.
@@ -539,24 +490,16 @@ class Iss:
         on a miss.  A data-dependent model keeps no cache, so every
         instruction of it is charged by that method.
         """
-        result = IssResult()
         model = self.power_model
         cycles = PIPELINE_FILL_CYCLES
         energy = model.fill_energy(PIPELINE_FILL_CYCLES)
-        count = stalls = 0
-        class_counts = result.class_counts
+        count = 0
         energies = (
             {} if model.data_alpha
             else model.__dict__.setdefault("_energy_cache", {})
         )
         instruction_energy = model.instruction_energy
         stall_energy = model.stall_energy(1)
-        trace = result.executed if self.record_trace else None
-        break_indexes = {}
-        if breakpoints:
-            break_indexes = {
-                self.program.entry(label): label for label in breakpoints
-            }
 
         program = self.program
         pc = program.entry(entry)
@@ -581,35 +524,27 @@ class Iss:
                 check_deadline(deadline)
                 limit = min(self.max_instructions,
                             count + DEADLINE_POLL_INSTRUCTIONS)
-            if pc in break_indexes and count > 0:
-                result.stopped_at_breakpoint = break_indexes[pc]
-                break
             if not 0 <= pc < size:
                 raise IssError("PC out of range: %d" % pc)
 
             instruction = instructions[pc]
             reads, klass, base, load_rd, executor, is_branch = decode[pc]
-            value = executor(self, instruction, memory, result)
+            value = executor(self, instruction, memory)
             count += 1
-            class_counts[klass] = class_counts.get(klass, 0) + 1
             charge = energies.get((klass, base, previous_class))
             if charge is None:
                 charge = instruction_energy(klass, base, previous_class, value)
             energy += charge
             if pending_load_rd is not None and pending_load_rd in reads:
-                stalls += 1
                 cycles += base + 1
                 energy += stall_energy
             else:
                 cycles += base
-            if trace is not None:
-                trace.append(instruction)
             previous_class = klass
             pending_load_rd = load_rd
 
             if is_branch:
                 if self._branch_taken(instruction.op):
-                    result.branches_taken += 1
                     delay_pc = pc + 1
                     if delay_pc < size:
                         _, klass, base, load_rd, executor, is_branch = (
@@ -622,9 +557,8 @@ class Iss:
                         # The branch loads nothing, so the slot never
                         # stalls.
                         delay_slot = instructions[delay_pc]
-                        value = executor(self, delay_slot, memory, result)
+                        value = executor(self, delay_slot, memory)
                         count += 1
-                        class_counts[klass] = class_counts.get(klass, 0) + 1
                         charge = energies.get((klass, base, previous_class))
                         if charge is None:
                             charge = instruction_energy(
@@ -632,8 +566,6 @@ class Iss:
                             )
                         energy += charge
                         cycles += base
-                        if trace is not None:
-                            trace.append(delay_slot)
                         previous_class = klass
                         pending_load_rd = load_rd
                     pc = program.resolve(instruction.target)
@@ -648,11 +580,7 @@ class Iss:
                 pc = return_stack.pop()
             else:
                 pc += 1
-        result.cycles = cycles
-        result.energy = energy
-        result.instruction_count = count
-        result.stall_cycles = stalls
-        return result
+        return IssResult(cycles, energy, count)
 
     def _branch_taken(self, op: str) -> bool:
         if op == Opcode.BA:

@@ -44,21 +44,6 @@ class Program:
         """Code size in bytes."""
         return len(self.instructions) * INSTRUCTION_BYTES
 
-    def disassemble(self, start: int = 0, count: Optional[int] = None) -> str:
-        """Human-readable listing with labels, for debugging."""
-        index_to_labels: Dict[int, List[str]] = {}
-        for name, index in self.labels.items():
-            index_to_labels.setdefault(index, []).append(name)
-        stop = len(self.instructions) if count is None else min(
-            len(self.instructions), start + count
-        )
-        lines = []
-        for index in range(start, stop):
-            for name in sorted(index_to_labels.get(index, [])):
-                lines.append("%s:" % name)
-            lines.append("  %4d  %r" % (index, self.instructions[index]))
-        return "\n".join(lines)
-
 
 class ProgramBuilder:
     """Assembles instructions and labels into a :class:`Program`.

@@ -12,8 +12,7 @@ first-class, always-available artifact of every run:
   histograms (ISS calls, cache hit rates, sampling dispatch ratios,
   queue depths, per-reaction wall-clock), snapshot-able to dict/JSON;
 * :mod:`repro.telemetry.export` — Chrome trace-event JSON (loadable in
-  Perfetto / ``chrome://tracing``, with energy as counter tracks) and
-  a JSONL stream;
+  Perfetto / ``chrome://tracing``, with energy as counter tracks);
 * :mod:`repro.telemetry.report` — a human-readable end-of-run summary
   (hottest spans, strategy-effectiveness accounting).
 
@@ -52,9 +51,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.export import (
     chrome_trace_events,
     render_chrome_trace,
-    render_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.telemetry.report import aggregate_spans, render_report
 from repro.telemetry.tracer import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
@@ -64,9 +61,7 @@ __all__ = [
     "NULL_TELEMETRY",
     "chrome_trace_events",
     "render_chrome_trace",
-    "render_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
     "aggregate_spans",
     "render_report",
     "Tracer",

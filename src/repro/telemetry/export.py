@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and plain JSONL.
+"""Trace exporter: Chrome trace-event JSON.
 
 The Chrome trace-event format (the JSON-array flavour) is understood
 by Perfetto (https://ui.perfetto.dev) and the legacy
@@ -11,10 +11,6 @@ above the span timeline.
 Every exported event carries the full ``{"ph", "ts", "pid", "tid",
 "name"}`` quintet (metadata events included, with ``ts: 0``) so that
 strict validators accept the file.
-
-The JSONL exporter writes one self-describing JSON object per line in
-time order — the format for streaming consumers (``jq``, log
-pipelines) that do not want to hold a whole trace in memory.
 """
 
 from __future__ import annotations
@@ -29,8 +25,6 @@ __all__ = [
     "chrome_trace_events",
     "render_chrome_trace",
     "write_chrome_trace",
-    "render_jsonl",
-    "write_jsonl",
 ]
 
 #: The pid all tracks share (the framework is one process).
@@ -117,47 +111,3 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     """
     return atomic_write_text(path, render_chrome_trace(tracer))
 
-
-def _jsonl_records(tracer: Tracer) -> List[Dict[str, Any]]:
-    records: List[Dict[str, Any]] = []
-    for span in tracer.spans:
-        records.append(
-            {
-                "kind": "span",
-                "ts_us": span.start_us,
-                "dur_us": span.dur_us,
-                "track": span.track,
-                "name": span.name,
-                "depth": span.depth,
-                "args": span.args or {},
-            }
-        )
-    for ts_us, name, track, args in tracer.instants:
-        records.append(
-            {
-                "kind": "instant",
-                "ts_us": ts_us,
-                "track": track,
-                "name": name,
-                "args": args or {},
-            }
-        )
-    for ts_us, name, series in tracer.counters:
-        records.append(
-            {"kind": "counter", "ts_us": ts_us, "name": name, "series": series}
-        )
-    records.sort(key=lambda record: record["ts_us"])
-    return records
-
-
-def render_jsonl(tracer: Tracer) -> str:
-    """One JSON object per line, ascending timestamps."""
-    return "\n".join(json.dumps(r, sort_keys=True) for r in _jsonl_records(tracer))
-
-
-def write_jsonl(tracer: Tracer, path: str) -> str:
-    """Atomically write the JSONL stream to ``path``."""
-    text = render_jsonl(tracer)
-    if text:
-        text += "\n"
-    return atomic_write_text(path, text)

@@ -162,11 +162,6 @@ class Tracer:
         """Record one sample of a counter track (e.g. energy so far)."""
         self.counters.append((self._now_us(), name, dict(series)))
 
-    @property
-    def event_count(self) -> int:
-        """Total recorded events (spans + instants + counter samples)."""
-        return len(self.spans) + len(self.instants) + len(self.counters)
-
 
 class NullTracer(Tracer):
     """Disabled tracer: every operation is a no-op.

@@ -137,8 +137,8 @@ class TestPeakCorrelation:
         )
         assert correlation.peak_bins > 0
         assert correlation.lift > 1.2, correlation
-        assert correlation.peak_activity_fraction > \
-            correlation.activity_bin_fraction
+        assert (correlation.peak_bins_with_activity / correlation.peak_bins
+                > correlation.activity_bin_fraction)
 
     def test_parameter_validation(self):
         from repro.master.tracing import EnergyAccountant

@@ -42,7 +42,8 @@ def test_requests_leave_no_spans_and_debug_trace_still_answers():
             assert status == 200
             trace_ids.append(headers["X-Trace-Id"])
         assert service.telemetry.enabled
-        assert service.telemetry.tracer.event_count == 0
+        tracer = service.telemetry.tracer
+        assert tracer.spans == tracer.instants == tracer.counters == []
         for trace_id in trace_ids:
             status, _, body = call(port, "GET", "/debug/trace/%s" % trace_id)
             assert status == 200

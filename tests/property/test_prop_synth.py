@@ -15,6 +15,9 @@ from repro.cfsm.builder import CfsmBuilder
 from repro.cfsm.events import Event
 from repro.hw.estimator import HardwarePowerSimulator, clear_hw_run_memo
 from repro.hw.synth import (
+    MEM_READ_REQ,
+    MEM_WRITE_ADDR,
+    MEM_WRITE_DATA,
     AluOp,
     ConstSrc,
     DoneOp,
@@ -141,37 +144,61 @@ def test_gate_level_matches_behavioral(body, bindings, event_value):
 
     simulator = HardwarePowerSimulator(cfsm)
     simulator.poke_variables(bindings)
-    # The run ends in the cycle that raises ``done``; an emission strobed
-    # in that same cycle would be lost, so no strobe may be high in it.
+    # Watch the ports on every step.  Emission values are registered, so
+    # a strobe seen in cycle k is read from its value port after cycle
+    # k+1.  The run ends in the cycle that raises ``done``; an emission
+    # strobed in that same cycle would be lost, so no strobe may be high
+    # in it.
     sim = simulator.simulator
     ports = sim.netlist.output_ports
-    strobe_nets = [ports[port][0] for port in simulator.block.strobe_ports.values()]
+    strobes = [
+        (event, ports[port][0])
+        for event, port in sorted(simulator.block.strobe_ports.items())
+    ]
+    value_ports = simulator.block.value_ports
     done_net = ports["done"][0]
     step = sim.step
+    energies = []
     done_cycles = []
+    observed = []
+    pending = []
 
-    def checked_step(inputs=None):
+    def watching_step(inputs=None):
         energy = step(inputs)
+        energies.append(energy)
+        observed.extend((event, sim.peek(value_ports[event])) for event in pending)
+        pending[:] = [event for event, net in strobes if sim.values[net]]
         if sim.values[done_net]:
-            done_cycles.append(sim.cycle)
-            assert not any(sim.values[net] for net in strobe_nets)
+            done_cycles.append(len(energies))
+            assert not pending
         return energy
 
-    sim.step = checked_step
+    sim.step = watching_step
     clear_hw_run_memo()  # a memo replay would not step
     result = simulator.run_transition(
         "t",
         {EVENT_IN: event_value},
         read_values=[value for _, value in trace.shared_reads],
     )
-    assert done_cycles == [sim.cycle]
+    assert done_cycles == [len(energies)] == [result.cycles]
+    assert result.energy == sum(energies)
 
+    emitted, read_addresses, writes = [], [], []
+    write_address = None
+    for event, value in observed:
+        if event == MEM_READ_REQ:
+            read_addresses.append(value)
+        elif event == MEM_WRITE_ADDR:
+            write_address = value
+        elif event == MEM_WRITE_DATA:
+            writes.append((write_address, value))
+            write_address = None
+        else:
+            emitted.append((event, value))
     for name in VAR_NAMES:
         assert simulator.read_variable(name) == state[name] & MASK, name
-    assert result.emitted == [(e, v & MASK) for e, v in trace.emitted]
-    assert result.mem_read_addresses == [a & MASK for a, _ in trace.shared_reads]
-    assert result.mem_writes == [
-        (a & MASK, v & MASK) for a, v in trace.shared_writes
-    ]
+    assert emitted == [(e, v & MASK) for e, v in trace.emitted]
+    assert read_addresses == [a & MASK for a, _ in trace.shared_reads]
+    assert writes == [(a & MASK, v & MASK) for a, v in trace.shared_writes]
     assert result.cycles > 0
     assert result.energy > 0.0

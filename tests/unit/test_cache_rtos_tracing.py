@@ -104,7 +104,8 @@ class TestRtos:
         scheduler = RtosScheduler()
         scheduler.make_ready("a")
         scheduler.make_ready("a")
-        assert scheduler.ready_processes == ["a"]
+        assert scheduler.pick() == "a"
+        assert not scheduler.has_ready()
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):

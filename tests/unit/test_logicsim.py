@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.hw.library import GateLibrary
 from repro.hw.logicsim import CompiledSimulator
 from repro.hw.netlist import NetlistBuilder
 
@@ -35,12 +36,10 @@ class TestCombinational:
         diff, no_borrow = builder.ripple_sub(bus_a, bus_b)
         builder.output_bus("diff", diff)
         builder.output_bus("ge", [no_borrow])
-        builder.output_bus("eq", [builder.bus_eq(bus_a, bus_b)])
         simulator = CompiledSimulator(builder.build())
         simulator.step({"a": a, "b": b})
         assert simulator.peek("diff") == (a - b) & 0xFF
         assert simulator.peek("ge") == int(a >= b)
-        assert simulator.peek("eq") == int(a == b)
 
     @given(st.integers(0, 255), st.integers(0, 7), st.booleans())
     def test_barrel_shifter(self, value, amount, left):
@@ -91,12 +90,10 @@ class TestSequential:
         simulator.step({"en": 1})
         simulator.step({"en": 1})
         assert simulator.peek("count") == 1
-        before = (list(simulator.values), simulator.cycle,
-                  simulator.total_energy, simulator.total_toggles)
+        before = list(simulator.values)
         with pytest.raises(KeyError):
             simulator.step({"en": 1, "nope": 1})
-        assert (list(simulator.values), simulator.cycle,
-                simulator.total_energy, simulator.total_toggles) == before
+        assert simulator.values == before
         simulator.step({"en": 1})
         assert simulator.peek("count") == 2
 
@@ -106,8 +103,7 @@ class TestSequential:
         simulator.step({"en": 1})
         simulator.reset()
         assert simulator.peek("count") == 0
-        assert simulator.cycle == 0
-        assert simulator.total_energy == 0.0
+        assert simulator.values == CompiledSimulator(self.counter_netlist()).values
 
 
 class TestEnergyAccounting:
@@ -116,7 +112,6 @@ class TestEnergyAccounting:
         idle = simulator.step({"a": 0, "b": 0})
         active = simulator.step({"a": 15, "b": 15})
         assert active > idle
-        assert simulator.total_energy >= active
 
     def test_quiet_cycle_costs_only_clock(self):
         netlist = adder_netlist()
@@ -127,11 +122,19 @@ class TestEnergyAccounting:
         assert quiet == 0.0
 
     def test_toggle_counting(self):
+        # No flip-flops: every net that changes is a charged toggle.
+        library = GateLibrary.default()
+        cheapest = min(
+            library.cell(gate.cell).switch_energy(library.vdd)
+            for gate in adder_netlist().gates
+        )
         simulator = CompiledSimulator(adder_netlist())
         simulator.step({"a": 0, "b": 0})
-        before = simulator.total_toggles
-        simulator.step({"a": 15, "b": 0})
-        assert simulator.total_toggles > before
+        before = list(simulator.values)
+        energy = simulator.step({"a": 15, "b": 0})
+        toggles = sum(old != new for old, new in zip(before, simulator.values))
+        assert toggles > 0
+        assert energy >= toggles * min(cheapest, simulator.pi_energy_j)
 
     def test_unknown_port_rejected(self):
         simulator = CompiledSimulator(adder_netlist())

@@ -22,7 +22,8 @@ class TestMonteCarlo:
         assert result.converged
         assert result.average_power_w > 0
         assert result.cycles >= 64
-        assert result.relative_halfwidth <= 0.05 + 1e-9
+        assert (result.confidence_halfwidth_w / result.average_power_w
+                <= 0.05 + 1e-9)
 
     def test_deterministic_given_seed(self):
         first = monte_carlo_power(adder_netlist(), 10e-9, seed=7)

@@ -1,19 +1,54 @@
-"""Every module of the program is reachable from another module.
+"""Every module and every function of the program has a caller.
 
 A module that no other module of ``repro`` imports, nor names in a
 string (``"repro.x.y"`` for ``importlib``, or ``"repro.x.y:callable"``
 for a job or builder spec), can only be reached from tests: it is dead
 code.  Package ``__init__`` modules and ``repro.__main__`` are entry
 points and are exempt.
+
+The same holds one level down.  A function or method of ``repro`` whose
+name appears nowhere in the program, the benchmarks, the examples or the
+scripts -- as a name, an attribute, an import or a word of a string
+(``getattr`` names, ``"Class.method"`` patch targets, docstrings) -- is
+dead code, unless a test reads the program through it
+(:data:`TEST_ORACLES`).  Dunder methods are called by Python itself and
+are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 EXEMPT = {"repro.__main__"}
+
+#: Trees whose code may call a function of the program.
+CALLERS = ("src/repro", "perfbench", "benchmarks", "examples", "scripts")
+
+#: Functions that only tests call, each because it shows a test what no
+#: caller of the program needs to read.
+TEST_ORACLES = {
+    # A gate-level register, checked against the behavioural state.
+    "read_variable",
+    # The statistics the §4.2 cache keeps for one control path.
+    "path_statistics",
+    # The events waiting in a CFSM's input buffer.
+    "pending_names",
+    # The closed-form burst count the bus model's grants are checked
+    # against.
+    "blocks_needed",
+    # The torn journal entries that the last replay dropped.
+    "discarded_tail_entries",
+    # One transition's row of a cacheability report.
+    "row_for",
+    # Empties the ISS run memo, so that a test interprets every run.
+    "clear_iss_run_memo",
+}
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _module_name(path):
@@ -76,3 +111,66 @@ def test_scan_sees_imports_and_spec_strings(tmp_path):
         "repro.a", "repro.b", "repro.b.c", "repro.pkg.d", "repro.pkg.e",
         "repro.pkg.e.f", "repro.g", "repro.h",
     }
+
+
+def _defined_and_named(path):
+    """Function names that ``path`` defines, and the names it uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(_WORD.findall(node.value))
+    return defined, named
+
+
+def orphan_functions():
+    """Functions of ``repro`` that nothing outside the tests names."""
+    defined, named = set(), set()
+    for tree in CALLERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            path_defined, path_named = _defined_and_named(path)
+            named |= path_named
+            if tree == "src/repro":
+                defined |= path_defined
+    return sorted(
+        name for name in defined - named - TEST_ORACLES
+        if not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_function_is_named_outside_the_tests():
+    assert orphan_functions() == []
+
+
+def test_every_test_oracle_is_still_defined():
+    defined = set()
+    for path in PACKAGE.rglob("*.py"):
+        defined |= _defined_and_named(path)[0]
+    assert TEST_ORACLES <= defined
+
+
+def test_function_scan_sees_calls_attributes_imports_and_strings(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        '"""See :func:`documented`."""\n'
+        "from repro.a import imported\n"
+        "def defined():\n"
+        "    # commented\n"
+        "    called()\n"
+        "    obj.method()\n"
+        "    getattr(obj, 'looked_up')\n"
+        "    return ('Owner.patched', 'repro.b:built')\n"
+    )
+    defined, named = _defined_and_named(source)
+    assert defined == {"defined"}
+    assert {"documented", "imported", "called", "method", "looked_up",
+            "patched", "built"} <= named
+    assert not {"defined", "commented"} & named

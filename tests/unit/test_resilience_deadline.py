@@ -92,10 +92,7 @@ def _hw_simulator():
 
 
 def _hw_state(hw):
-    sim = hw.simulator
-    return (bytes(sim.values), hw._needs_settle, sim.cycle, sim.total_energy,
-            sim.total_toggles, hw.invocations, hw.total_cycles,
-            hw.total_energy)
+    return bytes(hw.simulator.values), hw._needs_settle
 
 
 def _hw_runs(stop_after_ticks=None):

@@ -68,7 +68,6 @@ class TestSchedulesAndSpecs:
             injector.draw("hw")
         assert injector.counters.invocations["hw"] == 5
         assert injector.counters.injected[("hw", "exception")] == 3
-        assert injector.counters.total_injected == 3
         snapshot = injector.counters.snapshot()
         assert snapshot["invocations.hw"] == 5.0
         assert snapshot["injected.hw.exception"] == 3.0

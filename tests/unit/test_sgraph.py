@@ -128,14 +128,6 @@ class TestSharedMemory:
 
 
 class TestIntrospection:
-    def test_variable_sets(self):
-        graph = SGraph([
-            assign("a", var("b")),
-            shared_read("c", var("d")),
-        ])
-        assert graph.variables_read() == ["b", "d"]
-        assert graph.variables_written() == ["a", "c"]
-
     def test_events_emitted(self):
         graph = SGraph([emit("X"), emit("Y", const(1))])
         assert graph.events_emitted() == ["X", "Y"]

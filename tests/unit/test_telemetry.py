@@ -12,7 +12,6 @@ from repro.telemetry import (
     aggregate_spans,
     chrome_trace_events,
     render_chrome_trace,
-    render_jsonl,
     render_report,
     write_chrome_trace,
 )
@@ -66,7 +65,7 @@ class TestTracer:
         tracer.counter("energy_uJ", {"sw": 1.5, "hw": 0.5})
         assert len(tracer.instants) == 1
         assert len(tracer.counters) == 1
-        assert tracer.event_count == 2
+        assert tracer.spans == []
         # Counter samples are copied, not aliased.
         _, _, series = tracer.counters[0]
         assert series == {"sw": 1.5, "hw": 0.5}
@@ -86,7 +85,7 @@ class TestNullTracer:
             span.set("y", 2)
         NULL_TRACER.instant("ignored")
         NULL_TRACER.counter("ignored", {"a": 1})
-        assert NULL_TRACER.event_count == 0
+        assert NULL_TRACER.spans == NULL_TRACER.instants == NULL_TRACER.counters == []
         assert NULL_TRACER.enabled is False
 
     def test_null_span_is_shared_singleton(self):
@@ -162,15 +161,6 @@ class TestChromeExport:
         with open(path) as handle:
             events = json.load(handle)
         assert any(e["ph"] == "C" for e in events)
-
-    def test_jsonl_lines_parse_and_are_time_sorted(self):
-        lines = render_jsonl(_sample_tracer()).splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records
-        stamps = [record["ts_us"] for record in records]
-        assert stamps == sorted(stamps)
-        kinds = {record["kind"] for record in records}
-        assert {"span", "instant", "counter"} <= kinds
 
 
 class TestReport:
