@@ -7,13 +7,11 @@ from repro.analysis.stats import (
     mean,
     ranking_preserved,
     spearman_rank_correlation,
-    variance,
 )
 
 __all__ = [
     "Histogram",
     "mean",
-    "variance",
     "spearman_rank_correlation",
     "linear_fit",
     "ranking_preserved",

@@ -2,8 +2,8 @@
 
 These cover what the paper's evaluation needs: energy histograms
 (Figure 4(b)), rank-preservation checks and linear fits for the
-relative-accuracy study (Figure 6), and basic moments for the energy
-cache analyses.
+relative-accuracy study (Figure 6), and means for the energy cache
+analyses.
 """
 
 from __future__ import annotations
@@ -17,15 +17,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         return 0.0
     return sum(values) / len(values)
-
-
-def variance(values: Sequence[float]) -> float:
-    """Unbiased sample variance (0.0 for fewer than two samples)."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    center = mean(values)
-    return sum((value - center) ** 2 for value in values) / (n - 1)
 
 
 @dataclass

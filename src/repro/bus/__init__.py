@@ -15,7 +15,6 @@ exploration (Section 5.3).
 
 from repro.bus.model import BusGrant, BusParameters, BusRequest
 from repro.bus.arbiter import PriorityArbiter
-from repro.bus.dma import block_sizes
 from repro.bus.busmodel import SharedBus
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "BusGrant",
     "PriorityArbiter",
     "SharedBus",
-    "block_sizes",
 ]

@@ -7,7 +7,10 @@ granted burst advances a busy-until timeline.  Each burst is charged
 for the address and data line toggles of the actual values moved (the
 Hamming distance to the previous value on each bus), which sums the
 switching activity ``A(line_i)`` of the paper's bus power formula over
-the lines.
+the lines.  Each burst pays one arbitration handshake and one
+memory-latency setup, so large DMA blocks trade arbitration overhead
+against responsiveness for higher-priority masters: the mechanism
+behind the paper's Table 1 and Figure 7 sweeps over DMA size.
 
 The simulation master drives the model with two calls:
 
@@ -220,3 +223,11 @@ class SharedBus:
             return 0.0
         busy_ns = self.total_busy_cycles * self.params.clock_period_ns
         return min(1.0, busy_ns / elapsed_ns)
+
+
+def blocks_needed(total_words: int, dma_enabled: bool, dma_block_words: int) -> int:
+    """Number of bursts (arbitrations) a transfer requires."""
+    if total_words <= 0:
+        return 0
+    burst = dma_block_words if dma_enabled else 1
+    return (total_words + burst - 1) // burst

@@ -297,11 +297,6 @@ land = _binop("LAND")
 lor = _binop("LOR")
 
 
-def lnot(operand) -> UnaryOp:
-    """Logical negation node."""
-    return UnaryOp("NOT", _coerce(operand))
-
-
 def neg(operand) -> UnaryOp:
     """Arithmetic negation node."""
     return UnaryOp("NEG", _coerce(operand))

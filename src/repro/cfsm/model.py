@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cfsm.events import Event, EventBuffer, EventType
+from repro.cfsm.events import EventBuffer, EventType
 from repro.cfsm.expr import Expression
 from repro.cfsm.sgraph import ExecutionTrace, SGraph
 

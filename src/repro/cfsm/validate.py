@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 from repro.errors import ReproError
 
-from repro.cfsm.model import Cfsm, Network
+from repro.cfsm.model import Network
 
 
 class NetworkValidationError(ReproError):
@@ -46,13 +46,6 @@ def _legacy_strings(diagnostics) -> List[str]:
         else:
             issues.append(diagnostic.message)
     return issues
-
-
-def validate_cfsm(cfsm: Cfsm) -> List[str]:
-    """Return a list of problems found in one CFSM (empty if clean)."""
-    from repro.lint.network_rules import check_cfsm
-
-    return _legacy_strings(check_cfsm(cfsm))
 
 
 def validate_network(network: Network, strict: bool = True) -> List[str]:

@@ -45,7 +45,7 @@ from repro.cluster.coordinator import (
     run_cluster,
     run_coordinator,
 )
-from repro.cluster.ha import Lease, LeaseFile, failover_request
+from repro.cluster.ha import Lease, LeaseFile
 from repro.cluster.hashring import HashRing
 from repro.cluster.journal import (
     ControlPlaneJournal,
@@ -103,7 +103,6 @@ __all__ = [
     "ROLE_FENCED",
     "Lease",
     "LeaseFile",
-    "failover_request",
     "ControlPlaneJournal",
     "ControlPlaneState",
     "JournalEntry",

@@ -138,7 +138,6 @@ from repro.service.frontend import (
 )
 from repro.service.lifecycle import serve_until_drained
 from repro.systems import tcpip
-from repro.telemetry import Telemetry
 
 __all__ = [
     "ClusterConfig",
@@ -163,6 +162,17 @@ _SWEEP_BUILDER = "repro.systems.tcpip:build_system"
 _BATCH_MAX = 8
 _BATCH_SPREAD = 4
 
+#: Interval the refresher thread advances the membership state machine
+#: and republishes the cluster gauges at.
+_REFRESH_INTERVAL_S = 0.5
+#: Socket budget of one worker or leader exchange (a sweep batch gets
+#: this times its size).
+_REQUEST_TIMEOUT_S = 120.0
+#: A leader renews its lease this often; ``lease_ttl_s`` must exceed it.
+_LEASE_RENEW_S = 1.0
+#: A standby tails the leader's journal this often.
+_JOURNAL_TAIL_INTERVAL_S = 0.25
+
 #: Coordinator roles under HA.  Without a ``control_dir`` the single
 #: coordinator is permanently ``leader``; a ``fenced`` coordinator has
 #: seen proof of a newer epoch and refuses the data plane until it
@@ -178,9 +188,6 @@ class ClusterConfig:
 
     #: Membership thresholds (suspect/dead ages, limplock factor).
     membership: MembershipConfig = field(default_factory=MembershipConfig)
-    #: Interval the refresher thread advances the membership state
-    #: machine and republishes the cluster gauges at.
-    refresh_interval_s: float = 0.5
     #: Heartbeat interval workers are told to use at registration.
     heartbeat_interval_s: float = 1.0
     #: How many times one job may be re-dispatched to another worker
@@ -189,11 +196,7 @@ class ClusterConfig:
     #: Deterministic backoff between re-dispatch attempts.
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 1.0
-    #: Socket budget per dispatched sweep point (a batch gets this
-    #: times its size).
-    request_timeout_s: float = 120.0
     default_deadline_s: float = 30.0
-    ring_replicas: int = 64
     log_json: bool = False
     #: High availability (docs/cluster-ha.md).  Setting ``control_dir``
     #: turns it on: the journal and the leadership lease live under it,
@@ -207,9 +210,6 @@ class ClusterConfig:
     #: Coordinator peer URLs handed to workers/clients for failover.
     peers: List[str] = field(default_factory=list)
     lease_ttl_s: float = 3.0
-    lease_renew_s: float = 1.0
-    journal_tail_interval_s: float = 0.25
-    journal_segment_entries: int = 256
     #: Grace before a new leader re-runs orphaned sweeps on its own —
     #: gives the original client time to resubmit with ``resume``.
     orphan_grace_s: float = 5.0
@@ -219,21 +219,14 @@ class ClusterConfig:
     flight_dump_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.refresh_interval_s <= 0:
-            raise ValueError("refresh_interval_s must be positive")
         if self.redispatch_budget < 0:
             raise ValueError("redispatch_budget must be non-negative")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be positive")
         if not self.coordinator_id:
             self.coordinator_id = "coord-%d" % os.getpid()
-        if self.lease_ttl_s <= 0:
-            raise ValueError("lease_ttl_s must be positive")
-        if self.lease_renew_s <= 0 or self.lease_renew_s >= self.lease_ttl_s:
+        if self.lease_ttl_s <= _LEASE_RENEW_S:
             raise ValueError(
-                "lease_renew_s must sit inside (0, lease_ttl_s)")
-        if self.journal_tail_interval_s <= 0:
-            raise ValueError("journal_tail_interval_s must be positive")
+                "--lease-ttl-s must exceed the %g s lease renew interval"
+                % _LEASE_RENEW_S)
         if self.standby and self.control_dir is None:
             raise ValueError("a standby coordinator needs a control_dir")
 
@@ -294,14 +287,13 @@ class ClusterCoordinator(RequestFrontend):
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
-        telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
         transport=None,
         logger: Optional[JsonLogger] = None,
         wall_clock: Callable[[], float] = time.time,
     ) -> None:
         self.config = config or ClusterConfig()
-        super().__init__(telemetry, clock, logger,
+        super().__init__(clock, logger,
                          flight_dump_dir=self.config.flight_dump_dir)
         self.transport = transport if transport is not None else post_json
         # A sweep dispatch thread holds one session per round: a
@@ -314,7 +306,7 @@ class ClusterCoordinator(RequestFrontend):
             on_transition=self._on_transition,
         )
         self._ring_lock = threading.Lock()
-        self.ring = HashRing(self.config.ring_replicas)
+        self.ring = HashRing()
         self._redispatches = 0
         self._quarantines = 0
         self._sweeps = 0
@@ -341,9 +333,7 @@ class ClusterCoordinator(RequestFrontend):
         if self.config.control_dir is not None:
             self.journal = ControlPlaneJournal(
                 os.path.join(self.config.control_dir,
-                             "journal-%s" % self.config.coordinator_id),
-                segment_entries=self.config.journal_segment_entries,
-            )
+                             "journal-%s" % self.config.coordinator_id))
             self.lease = LeaseFile(
                 self.config.control_dir, self.config.coordinator_id,
                 ttl_s=self.config.lease_ttl_s, clock=wall_clock,
@@ -548,7 +538,7 @@ class ClusterCoordinator(RequestFrontend):
             status, body = get_json(
                 lease.url,
                 "/cluster/journal?since=%d" % self.journal.tip_seq(),
-                timeout_s=self.config.request_timeout_s,
+                timeout_s=_REQUEST_TIMEOUT_S,
             )
         except ReproError:  # transport/protocol: the leader is flapping
             return
@@ -606,7 +596,7 @@ class ClusterCoordinator(RequestFrontend):
     def ha_loop(self) -> None:
         """Renew-or-elect until drain; the body of the HA thread.
 
-        Leaders renew the lease every ``lease_renew_s`` and fence
+        Leaders renew the lease every ``_LEASE_RENEW_S`` and fence
         themselves if it is lost.  Standbys tail the leader's journal,
         and contest the lease the moment it is free — except a
         configured ``--standby`` defers for one TTL after boot so the
@@ -625,12 +615,11 @@ class ClusterCoordinator(RequestFrontend):
                     )
                 else:
                     self._publish_ha_metrics()
-                if self.drain_controller.wait(self.config.lease_renew_s):
+                if self.drain_controller.wait(_LEASE_RENEW_S):
                     return
             else:
                 self._standby_step()
-                if self.drain_controller.wait(
-                        self.config.journal_tail_interval_s):
+                if self.drain_controller.wait(_JOURNAL_TAIL_INTERVAL_S):
                     return
 
     def _standby_step(self) -> None:
@@ -1075,7 +1064,7 @@ class ClusterCoordinator(RequestFrontend):
             started = self.clock()
             try:
                 status, reply = session.post(
-                    "/run", body, self.config.request_timeout_s * len(batch))
+                    "/run", body, _REQUEST_TIMEOUT_S * len(batch))
             except TransportError as exc:
                 self.membership.mark_dead(
                     worker_id, "sweep dispatch failed: %s" % exc
@@ -1468,8 +1457,7 @@ def run_coordinator(
     coordinator.set_url("http://%s:%d" % (host, httpd.server_address[1]))
 
     def refresher() -> None:
-        interval = coordinator.config.refresh_interval_s
-        while not coordinator.drain_controller.wait(interval):
+        while not coordinator.drain_controller.wait(_REFRESH_INTERVAL_S):
             coordinator.refresh_membership()
             coordinator.refresh_gauges()
 

@@ -20,9 +20,9 @@ compose:
   409 ``stale-epoch`` answer — a deposed leader that still has sockets
   open cannot split the brain, because the workers stop obeying it the
   moment they have seen a newer epoch;
-* **peer failover** (:func:`failover_request`): workers and service
-  clients hold the full coordinator peer list and walk it on transport
-  failure or a ``not_leader`` answer, so a failover needs no client
+* **peer failover**: workers hold the full coordinator peer list and
+  walk it on transport failure or a ``not_leader`` answer
+  (:mod:`repro.cluster.worker`), so a failover needs no worker
   reconfiguration.
 
 Wall-clock time (``time.time``) is used for lease expiry on purpose:
@@ -36,21 +36,15 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.ioutil import atomic_write_json
-from repro.cluster.protocol import (
-    REASON_NOT_LEADER,
-    TransportError,
-    http_json,
-)
 
 __all__ = [
     "LeaseError",
     "Lease",
     "LeaseFile",
-    "failover_request",
 ]
 
 LEASE_FILENAME = "lease.json"
@@ -265,58 +259,3 @@ class LeaseFile:
             if now - float(stamp) <= self.ttl_s:
                 candidates.append(holder)
         return min(candidates) if candidates else self.holder_id
-
-
-# ----------------------------------------------------------------------
-# Client-side failover
-# ----------------------------------------------------------------------
-
-
-def failover_request(
-    peers: Sequence[str],
-    method: str,
-    path: str,
-    body: Optional[Dict[str, Any]] = None,
-    timeout_s: float = 30.0,
-    transport: Callable[..., Tuple[int, Dict[str, Any]]] = http_json,
-) -> Tuple[int, Dict[str, Any], str]:
-    """One request tried against each peer until a leader answers.
-
-    Walks ``peers`` in order; a :class:`TransportError` or a
-    503 ``not_leader``/``standby`` answer moves on to the next peer (a
-    ``leader`` hint in the answer is tried first).  Returns
-    ``(status, body, peer_url)`` from the first authoritative answer.
-    Raises :class:`TransportError` when every peer is unreachable or
-    deferring — the caller backs off and retries.
-    """
-    if not peers:
-        raise TransportError("no coordinator peers to fail over through")
-    queue: List[str] = list(peers)
-    tried = set()
-    last: Optional[Tuple[int, Dict[str, Any], str]] = None
-    while queue:
-        peer = queue.pop(0)
-        if peer in tried:
-            continue
-        tried.add(peer)
-        try:
-            status, reply = transport(method, peer, path, body=body,
-                                      timeout_s=timeout_s)
-        except TransportError:
-            continue
-        if status == 503 and reply.get("reason") in (REASON_NOT_LEADER,
-                                                     "standby"):
-            hint = reply.get("leader_url")
-            if isinstance(hint, str) and hint and hint not in tried:
-                queue.insert(0, hint)
-            last = (status, reply, peer)
-            continue
-        return status, reply, peer
-    if last is not None:
-        raise TransportError(
-            "no leader among %d coordinator peer(s) (last: %s answered %s)"
-            % (len(tried), last[2], last[1].get("reason"))
-        )
-    raise TransportError(
-        "all %d coordinator peer(s) unreachable" % len(tried)
-    )

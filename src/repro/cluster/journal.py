@@ -163,10 +163,6 @@ class ControlPlaneJournal:
         self._segments = self._segment_indices()
         self._load()
         self._active_index = (self._segments[-1] if self._segments else 1)
-        self._active_count = sum(
-            1 for entry in self._entries
-            if self._segment_of(entry.seq) == self._active_index
-        ) if self._segments else 0
         # Replay trimmed a torn tail: rewrite the final segment so the
         # torn bytes never shadow a future append with the same seq.
         if self._discarded_tail:
@@ -265,7 +261,6 @@ class ControlPlaneJournal:
             # rewrite (canonical bytes, atomic rename, parent fsync).
             self._rewrite_segment(self._active_index)
             self._active_index = index
-            self._active_count = 0
         path = os.path.join(self.directory, _segment_name(index))
         created = not os.path.exists(path)
         with open(path, "a", encoding="utf-8") as handle:
@@ -277,7 +272,6 @@ class ControlPlaneJournal:
             if index not in self._segments:
                 self._segments.append(index)
         self._entries.append(entry)
-        self._active_count += 1
 
     def _rewrite_segment(self, index: int) -> None:
         """Atomically rewrite one segment from the in-memory entries."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import statistics
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -261,20 +261,6 @@ class MembershipTable:
             old = info.state
             info.state = DEAD
         self._fire(worker_id, old, DEAD, reason)
-        return True
-
-    def quarantine(self, worker_id: str, reason: str) -> bool:
-        """Explicitly limplock-quarantine a worker (e.g. a dispatch
-        timed out while its heartbeats kept arriving)."""
-        with self._lock:
-            info = self._workers.get(worker_id)
-            if info is None or info.state in (DEAD, LIMPLOCKED,
-                                              DECOMMISSIONED):
-                return False
-            old = info.state
-            info.state = LIMPLOCKED
-            info.quarantine_reason = reason
-        self._fire(worker_id, old, LIMPLOCKED, reason)
         return True
 
     def decommission(self, worker_id: str, reason: str = "requested") -> bool:

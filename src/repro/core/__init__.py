@@ -24,7 +24,6 @@ from repro.core.caching import (
     EnergyCache,
     EnergyCacheConfig,
     WarmStartCache,
-    system_fingerprint,
 )
 from repro.core.report import EnergyReport
 from repro.core.coestimator import CoEstimationResult, PowerCoEstimator
@@ -65,7 +64,6 @@ __all__ = [
     "EnergyCache",
     "EnergyCacheConfig",
     "WarmStartCache",
-    "system_fingerprint",
     "MacroModelCharacterizer",
     "MacromodelStrategy",
     "ParameterFile",

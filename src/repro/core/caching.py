@@ -20,11 +20,10 @@ numerically stable over millions of updates.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.cfsm.fingerprint import cfsm_digest, cfsm_signature
+from repro.cfsm.fingerprint import cfsm_digest
 from repro.core.strategy import Estimate, EstimationJob, EstimationStrategy
 
 
@@ -315,9 +314,7 @@ def _config_signature(config) -> tuple:
         repr(config.rtos),
         repr(config.power_model),
         config.library.signature(),
-        config.charge_hw_idle,
         config.zero_delay,
-        config.zero_delay_epsilon_ns,
     )
 
 
@@ -338,30 +335,6 @@ def cfsm_warm_start_fingerprint(network, config, cfsm_name: str) -> str:
         network.mapping.get(cfsm_name),
         _config_signature(config),
     )
-
-
-def system_fingerprint(network, config) -> str:
-    """Digest of everything that shapes path energies except bus params.
-
-    Two (network, config) pairs with equal fingerprints may legally
-    share an :class:`EnergyCache`; the excluded knobs
-    (``config.bus_params``) are exactly the ones the design-space
-    explorer sweeps.
-    """
-    payload = (
-        "repro-warm-start-v1",
-        (
-            network.name,
-            tuple(sorted(network.mapping.items())),
-            tuple(sorted(network.bus_events)),
-            tuple(sorted(network.environment_inputs)),
-            tuple(sorted(network.reset_events)),
-            tuple(cfsm_signature(cfsm)
-                  for _, cfsm in sorted(network.cfsms.items())),
-        ),
-        _config_signature(config),
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 class WarmStartCache:
@@ -389,7 +362,6 @@ class WarmStartCache:
         self._fingerprints: Dict[str, str] = {}
         self.adoptions = 0
         self.invalidations = 0
-        self.evicted_entries = 0
 
     @property
     def cache(self) -> Optional[EnergyCache]:
@@ -417,14 +389,12 @@ class WarmStartCache:
             }
             if stale:
                 self.invalidations += 1
-                before = len(self._cache.entries)
                 # Both cache key granularities lead with the CFSM name.
                 self._cache.entries = {
                     key: stats
                     for key, stats in self._cache.entries.items()
                     if key[0] not in stale
                 }
-                self.evicted_entries += before - len(self._cache.entries)
             if len(self._cache.entries) > 0 or not stale:
                 self.adoptions += 1
         self._fingerprints = fingerprints

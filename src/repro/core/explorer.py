@@ -5,19 +5,17 @@ priority assignments — re-running power co-estimation for each
 configuration *without recompiling the system description*, exactly the
 iterative use-case the paper's acceleration techniques exist for.
 
-Two execution modes:
-
-* :meth:`DesignSpaceExplorer.sweep` — sequential, in-process;
-* :func:`parallel_sweep` — the same cross product fanned out over the
-  :mod:`repro.parallel` process pool, returning points in the same
-  order as the sequential sweep.
+:meth:`DesignSpaceExplorer.evaluate` co-estimates one point in
+process; :func:`parallel_sweep` runs the cross product of DMA sizes and
+priority assignments as :mod:`repro.parallel` jobs (inline at
+``jobs=1``, over the process pool otherwise) and returns the points
+priorities-major.
 """
 
 from __future__ import annotations
 
 import itertools
-import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import (
     Any,
     Callable,
@@ -71,7 +69,7 @@ def priority_label(priorities: Dict[str, int]) -> str:
 
 
 class DesignSpaceExplorer:
-    """Exhaustive sweep over DMA sizes and priority assignments."""
+    """Co-estimation of DMA-size and priority-assignment design points."""
 
     def __init__(
         self,
@@ -84,7 +82,6 @@ class DesignSpaceExplorer:
         self.base_config = base_config
         self.stimuli_factory = stimuli_factory
         self.shared_memory_image = shared_memory_image
-        self.exploration_seconds = 0.0
 
     def evaluate(
         self,
@@ -120,31 +117,6 @@ class DesignSpaceExplorer:
             report=result.report,
         )
 
-    def sweep(
-        self,
-        dma_sizes: Iterable[int],
-        priority_assignments: Iterable[Dict[str, int]],
-        strategy: Union[str, EstimationStrategy, None] = None,
-        warm_start: Optional[WarmStartCache] = None,
-        telemetry=None,
-    ) -> List[DesignPoint]:
-        """Exhaustively evaluate the cross product of the two sweeps."""
-        started = _time.perf_counter()
-        points = []
-        for priorities in priority_assignments:
-            for dma in dma_sizes:
-                points.append(
-                    self.evaluate(
-                        dma,
-                        priorities,
-                        strategy=strategy,
-                        warm_start=warm_start,
-                        telemetry=telemetry,
-                    )
-                )
-        self.exploration_seconds = _time.perf_counter() - started
-        return points
-
     @staticmethod
     def minimum_energy_point(points: Sequence[DesignPoint]) -> DesignPoint:
         """The lowest-total-energy configuration of a sweep."""
@@ -175,6 +147,13 @@ def design_point_payload(point: DesignPoint) -> Dict[str, Any]:
     }
 
 
+#: The report fields of a sweep row: every one but the timings.
+_ROW_FIELDS = tuple(
+    report_field.name for report_field in fields(EnergyReport)
+    if not report_field.name.endswith("_seconds")
+)
+
+
 def sweep_summary_rows(points: Sequence[DesignPoint]) -> List[Dict[str, Any]]:
     """Deterministic summary rows of a sweep (no timing fields).
 
@@ -182,17 +161,12 @@ def sweep_summary_rows(points: Sequence[DesignPoint]) -> List[Dict[str, Any]]:
     cluster-sharded sweep produces rows byte-identical to an
     uninterrupted single-process run — the property the kill-mid-sweep
     tests assert.  ``repro explore --out`` and the cluster coordinator's
-    ``/sweep`` response both emit exactly these rows.
+    ``/sweep`` response both emit exactly these rows.  A row shares the
+    report's dicts instead of copying them: rows are only serialized.
     """
-    import dataclasses
-
     rows = []
     for point in points:
-        report = {
-            key: value
-            for key, value in dataclasses.asdict(point.report).items()
-            if not key.endswith("_seconds")
-        }
+        report = {name: getattr(point.report, name) for name in _ROW_FIELDS}
         rows.append(
             {
                 "dma_block_words": point.dma_block_words,
@@ -226,9 +200,9 @@ class SweepJobs:
 
     ``specs`` are *DMA-major* (all priority assignments of one DMA size
     adjacent, so a worker's warm-start cache sees the fewest
-    invalidations); ``sweep_order`` lists their indices in
-    :meth:`DesignSpaceExplorer.sweep` order (priorities-major), the
-    order results are returned in.  ``signature`` keys the checkpoint.
+    invalidations); ``sweep_order`` lists their indices priorities-major,
+    the order results are returned in.  ``signature`` keys the
+    checkpoint.
     """
 
     specs: List[Any]
@@ -382,9 +356,9 @@ def parallel_sweep(
 
     Jobs are *ordered DMA-major* (all priority assignments of one DMA
     size adjacent) so a worker's warm-start cache sees the fewest
-    invalidations, but the returned points are re-ordered to match
-    :meth:`DesignSpaceExplorer.sweep` (priorities-major).  With
-    ``jobs=1`` everything runs inline in this process.
+    invalidations, but the returned points are re-ordered
+    priorities-major.  With ``jobs=1`` everything runs inline in this
+    process.
 
     Returns ``(points, job_results)``; failed jobs (after retries) show
     up as ``None`` points with the failure recorded on the job result.

@@ -30,7 +30,6 @@ switching-activity analysis of the synthesized netlist.
 from __future__ import annotations
 
 import io
-import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
@@ -184,7 +183,6 @@ class MacroModelCharacterizer:
 
     def __init__(self, power_model: Optional[InstructionPowerModel] = None) -> None:
         self.power_model = power_model or InstructionPowerModel.default_sparclite()
-        self.characterization_seconds = 0.0
 
     # -- template construction -------------------------------------------------
 
@@ -198,7 +196,6 @@ class MacroModelCharacterizer:
 
     def _measure(self, cfsm: Cfsm) -> Tuple[List[str], MacroCost]:
         """Trace + measure the single transition of a template CFSM."""
-        started = _time.perf_counter()
         transition = cfsm.transitions[0]
         buffer = cfsm.make_buffer()
         state = cfsm.initial_state()
@@ -215,7 +212,6 @@ class MacroModelCharacterizer:
             memory[SHARED_MEMORY_BASE + address] = value
         iss = Iss(compiled.program, self.power_model)
         result = iss.run(transition_label(cfsm.name, "t"), memory)
-        self.characterization_seconds += _time.perf_counter() - started
         measured = MacroCost(
             time_cycles=float(result.cycles),
             size_bytes=float(compiled.program.size_bytes),

@@ -75,15 +75,14 @@ class EnergyReport:
             "busy_cycles": float(bus.total_busy_cycles),
             "utilization": bus.utilization(stats.end_time_ns),
         }
-        if master.cache is not None:
-            cache = master.cache
-            report.cache_stats = {
-                "accesses": float(cache.accesses),
-                "misses": float(cache.misses),
-                "hit_rate": cache.hit_rate,
-                "energy_j": cache.total_energy,
-                "stall_cycles": float(cache.total_stall_cycles),
-            }
+        cache = master.cache
+        report.cache_stats = {
+            "accesses": float(cache.accesses),
+            "misses": float(cache.misses),
+            "hit_rate": cache.hit_rate,
+            "energy_j": cache.total_energy,
+            "stall_cycles": float(cache.total_stall_cycles),
+        }
         report.rtos_stats = {
             "dispatches": float(master.rtos.dispatches),
             "context_switches": float(master.rtos.context_switches),

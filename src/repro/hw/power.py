@@ -1,31 +1,17 @@
-"""Hardware power reporting, probabilistic, and statistical estimation.
+"""Probabilistic hardware power estimation.
 
-Three estimation styles are provided, mirroring the options the paper
-lists for the hardware power estimator:
-
-* **Simulation-based** (the default used during co-estimation):
-  :class:`repro.hw.estimator.HardwarePowerSimulator` runs the gate-level
-  netlist and reports cycle-by-cycle energy from observed toggles.  The
-  helpers in this module summarize such per-cycle traces.
-
-* **Probabilistic** (for users who do not need cycle-by-cycle power):
-  :func:`probabilistic_power` propagates signal probabilities through
-  the netlist under a spatial/temporal independence assumption and
-  returns the expected power, the classic aggregate-statistics approach
-  referenced in the paper's Section 3.
-
-* **Statistical (Monte-Carlo)**: :func:`monte_carlo_power` simulates
-  the netlist under random input vectors until the estimate of the
-  mean per-cycle power converges to a requested confidence interval —
-  the statistical power-estimation style (McPOWER-like) the paper's
-  Section 4.3 cites as prior art for hardware.
+Co-estimation is simulation-based:
+:class:`repro.hw.estimator.HardwarePowerSimulator` runs the gate-level
+netlist and reports cycle-by-cycle energy from observed toggles.  For
+users who do not need cycle-by-cycle power, :func:`probabilistic_power`
+propagates signal probabilities through the netlist under a
+spatial/temporal independence assumption and returns the expected
+power, the classic aggregate-statistics approach referenced in the
+paper's Section 3 (the §4.1 hardware macro-models are built from it).
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hw.library import DFF_CLOCK_ENERGY_J, GateLibrary
@@ -101,93 +87,3 @@ def probabilistic_power(
         energy_per_cycle += activity * dff_cell.switch_energy(lib.vdd)
         energy_per_cycle += DFF_CLOCK_ENERGY_J
     return energy_per_cycle / clock_period_s
-
-
-@dataclass
-class MonteCarloResult:
-    """Outcome of a statistical power estimation run."""
-
-    average_power_w: float
-    confidence_halfwidth_w: float
-    cycles: int
-    converged: bool
-
-
-def monte_carlo_power(
-    netlist: Netlist,
-    clock_period_s: float,
-    library: Optional[GateLibrary] = None,
-    input_one_probability: float = 0.5,
-    relative_precision: float = 0.05,
-    confidence_z: float = 1.96,
-    min_cycles: int = 64,
-    max_cycles: int = 20_000,
-    warmup_cycles: int = 8,
-    seed: int = 1,
-) -> MonteCarloResult:
-    """Average power from random-vector simulation with a stop rule.
-
-    The netlist is clocked with independent random primary-input
-    vectors (each bit 1 with ``input_one_probability``); per-cycle
-    energies are accumulated until the ``confidence_z``-sigma interval
-    of the running mean is within ``relative_precision`` of it, the
-    standard Monte-Carlo stopping criterion of statistical power
-    estimators.
-
-    Returns the estimated average power, the confidence half-width,
-    the number of measured cycles, and whether the stop rule was met
-    before ``max_cycles``.
-    """
-    from repro.hw.logicsim import CompiledSimulator
-
-    if not 0.0 <= input_one_probability <= 1.0:
-        raise ValueError("input probability must lie in [0, 1]")
-    if clock_period_s <= 0:
-        raise ValueError("clock period must be positive")
-
-    simulator = CompiledSimulator(netlist, library)
-    rng = random.Random(seed)
-    ports = sorted(netlist.input_ports)
-    widths = {name: len(netlist.input_ports[name]) for name in ports}
-
-    def random_inputs() -> Dict[str, int]:
-        vector = {}
-        for name in ports:
-            value = 0
-            for bit in range(widths[name]):
-                if rng.random() < input_one_probability:
-                    value |= 1 << bit
-            vector[name] = value
-        return vector
-
-    for _ in range(warmup_cycles):
-        simulator.step(random_inputs())
-
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    converged = False
-    while count < max_cycles:
-        energy = simulator.step(random_inputs())
-        count += 1
-        delta = energy - mean
-        mean += delta / count
-        m2 += delta * (energy - mean)
-        if count >= min_cycles and mean > 0:
-            std_error = math.sqrt(m2 / (count - 1) / count)
-            if confidence_z * std_error <= relative_precision * mean:
-                converged = True
-                break
-
-    power = mean / clock_period_s
-    halfwidth = 0.0
-    if count > 1:
-        halfwidth = (
-            confidence_z * math.sqrt(m2 / (count - 1) / count) / clock_period_s
-        )
-    return MonteCarloResult(
-        average_power_w=power,
-        confidence_halfwidth_w=halfwidth,
-        cycles=count,
-        converged=converged,
-    )

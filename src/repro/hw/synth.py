@@ -36,7 +36,6 @@ from repro.cfsm.sgraph import (
     Emit,
     If,
     Loop,
-    SGraph,
     SharedRead,
     SharedWrite,
     Statement,

@@ -2,9 +2,9 @@
 
 The per-CFSM checks are the historical :mod:`repro.cfsm.validate` set,
 re-homed as rules ``CFSM001``-``CFSM011`` (their message texts are
-preserved verbatim — :func:`repro.cfsm.validate.validate_cfsm` renders
-these diagnostics back into its legacy string form).  Two gaps found
-while porting became new rules: ``CFSM012`` (valueless emit on a
+preserved verbatim — :func:`repro.cfsm.validate.validate_network`
+renders these diagnostics back into its legacy string form).  Two gaps
+found while porting became new rules: ``CFSM012`` (valueless emit on a
 valued event — the consumer silently reads 0) and ``CFSM013`` (a
 ``consumes`` list naming events outside the declared inputs).
 

@@ -15,7 +15,6 @@ from repro.master.rtos import RtosConfig, RtosScheduler
 from repro.master.tracing import EnergyAccountant, EnergySample
 from repro.master.master import MasterConfig, RunStats, SharedMemory, SimulationMaster
 from repro.master.export import (
-    export_energy_breakdown,
     export_power_csv,
     export_power_vcd,
 )
@@ -32,5 +31,4 @@ __all__ = [
     "RunStats",
     "export_power_csv",
     "export_power_vcd",
-    "export_energy_breakdown",
 ]

@@ -8,9 +8,7 @@ accounting into standard interchange formats:
   one column per component, loadable by any plotting tool;
 * :func:`export_power_vcd` — a Value Change Dump whose signals are the
   per-component power levels (in microwatts), viewable in GTKWave and
-  friends next to functional waveforms;
-* :func:`export_energy_breakdown` — the component/category totals as a
-  text report.
+  friends next to functional waveforms.
 """
 
 from __future__ import annotations
@@ -115,19 +113,4 @@ def export_power_vcd(
             for change in changes:
                 out.write(change + "\n")
     out.write("#%d\n" % int(bins * bin_ns))
-    return out.getvalue()
-
-
-def export_energy_breakdown(accountant: EnergyAccountant) -> str:
-    """Component and category energy totals as aligned text."""
-    out = io.StringIO()
-    out.write("energy by component:\n")
-    for name in sorted(accountant.by_component):
-        out.write("  %-20s %12.6g uJ\n"
-                  % (name, accountant.by_component[name] * 1e6))
-    out.write("energy by category:\n")
-    for name in sorted(accountant.by_category):
-        out.write("  %-20s %12.6g uJ\n"
-                  % (name, accountant.by_category[name] * 1e6))
-    out.write("total: %.6g uJ\n" % (accountant.total_energy * 1e6))
     return out.getvalue()

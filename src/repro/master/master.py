@@ -54,6 +54,11 @@ if TYPE_CHECKING:
     from repro.resilience.supervisor import ResilienceConfig, ResilientEstimator
 
 
+#: Duration of every reaction under ``zero_delay``: just enough to keep
+#: a reaction's emissions after the events it consumed.
+_ZERO_DELAY_NS = 0.001
+
+
 class MasterError(ReproError):
     """Raised for co-simulation configuration or runtime errors."""
 
@@ -107,18 +112,15 @@ class MasterConfig:
 
     cpu_clock_period_ns: float = 10.0
     bus_params: BusParameters = field(default_factory=BusParameters)
-    cache_config: Optional[CacheConfig] = field(default_factory=CacheConfig)
+    cache_config: CacheConfig = field(default_factory=CacheConfig)
     rtos: RtosConfig = field(default_factory=RtosConfig)
     power_model: InstructionPowerModel = field(
         default_factory=InstructionPowerModel.default_sparclite
     )
     library: GateLibrary = field(default_factory=GateLibrary.default)
-    keep_samples: bool = True
     max_dispatches: int = 2_000_000
-    charge_hw_idle: bool = True
     record_reactions: bool = False
     zero_delay: bool = False
-    zero_delay_epsilon_ns: float = 0.001
     #: Optional resilience layer: fault injection, watchdog/retry
     #: supervision of the component estimators, and the graceful
     #: degradation ladder (see :mod:`repro.resilience`).
@@ -193,17 +195,11 @@ class SimulationMaster:
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.strategy.attach_telemetry(self.telemetry)
         self.queue = EventQueue()
-        self.accountant = EnergyAccountant(
-            keep_samples=self.config.keep_samples,
-            tracer=self.telemetry.tracer,
-        )
+        self.accountant = EnergyAccountant(tracer=self.telemetry.tracer)
         self.shared_memory = SharedMemory()
         self.bus = SharedBus(self.config.bus_params, telemetry=self.telemetry)
-        self.cache = (
-            CacheSimulator(self.config.cache_config, telemetry=self.telemetry)
-            if self.config.cache_config is not None
-            else None
-        )
+        self.cache = CacheSimulator(self.config.cache_config,
+                                    telemetry=self.telemetry)
         self.rtos = RtosScheduler(self.config.rtos)
         self.resilience: Optional[ResilientEstimator] = None
         if self.config.resilience is not None:
@@ -535,7 +531,6 @@ class SimulationMaster:
         cache_energy = 0.0
         if (
             process.kind == Implementation.SW
-            and self.cache is not None
             and not self.config.zero_delay
             and trace.memory_refs
             and self._component_ok("cache")
@@ -548,7 +543,7 @@ class SimulationMaster:
             else cfsm.clock_period_ns
         )
         if self.config.zero_delay:
-            compute_ns = self.config.zero_delay_epsilon_ns
+            compute_ns = _ZERO_DELAY_NS
             rtos_energy = 0.0
         else:
             compute_cycles = estimate.cycles + stall_cycles + rtos_overhead_cycles
@@ -813,12 +808,11 @@ class SimulationMaster:
         metrics.gauge("master.end_time_ns").set(stats.end_time_ns)
         metrics.gauge("master.wall_seconds").set(stats.wall_seconds)
         metrics.gauge("master.low_level_seconds").set(stats.low_level_seconds)
-        if self.cache is not None:
-            metrics.gauge("datacache.accesses").set(self.cache.accesses)
-            metrics.gauge("datacache.hit_rate").set(self.cache.hit_rate)
-            metrics.gauge("datacache.stall_cycles").set(
-                self.cache.total_stall_cycles
-            )
+        metrics.gauge("datacache.accesses").set(self.cache.accesses)
+        metrics.gauge("datacache.hit_rate").set(self.cache.hit_rate)
+        metrics.gauge("datacache.stall_cycles").set(
+            self.cache.total_stall_cycles
+        )
         metrics.gauge("bus.total_busy_cycles").set(self.bus.total_busy_cycles)
         metrics.gauge("bus.utilization").set(
             self.bus.utilization(stats.end_time_ns)
@@ -838,7 +832,7 @@ class SimulationMaster:
     # ------------------------------------------------------------------
 
     def _charge_hw_idle(self) -> None:
-        if not self.config.charge_hw_idle or self.config.zero_delay:
+        if self.config.zero_delay:
             return
         for name, process in sorted(self.processes.items()):
             if process.kind != Implementation.HW or process.hw is None:

@@ -40,9 +40,7 @@ class EnergySample(NamedTuple):
 class EnergyAccountant:
     """Aggregates energy samples by component and category."""
 
-    def __init__(self, keep_samples: bool = True,
-                 tracer: Optional[Tracer] = None) -> None:
-        self.keep_samples = keep_samples
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.samples: List[EnergySample] = []
         self.by_component: Dict[str, float] = {}
@@ -67,12 +65,11 @@ class EnergyAccountant:
             # A single NaN/inf would silently poison every total and
             # waveform bin downstream; fail at the source instead.
             raise ValueError("non-finite energy sample: %r" % energy_j)
-        if self.keep_samples:
-            self.samples.append(
-                EnergySample(
-                    component, category, start_ns, end_ns, energy_j, tag, provenance
-                )
+        self.samples.append(
+            EnergySample(
+                component, category, start_ns, end_ns, energy_j, tag, provenance
             )
+        )
         self.by_component[component] = self.by_component.get(component, 0.0) + energy_j
         self.by_category[category] = self.by_category.get(category, 0.0) + energy_j
         if provenance:
@@ -119,8 +116,6 @@ class EnergyAccountant:
         through a difference array instead of per-bin scans, so one
         run-long sample (e.g. hardware idle clocking) costs O(1).
         """
-        if not self.keep_samples:
-            raise RuntimeError("waveforms require keep_samples=True")
         if bin_ns <= 0:
             raise ValueError("bin size must be positive")
         horizon = end_ns

@@ -36,7 +36,6 @@ from repro.obs import names
 from repro.obs.context import (
     EventSink,
     RequestContext,
-    child_context,
     current_context,
     emit_event,
     new_span_id,
@@ -74,7 +73,6 @@ __all__ = [
     "use_context",
     "use_event_sink",
     "current_context",
-    "child_context",
     "emit_event",
     "new_trace_id",
     "new_span_id",
@@ -170,7 +168,6 @@ class Observability:
         slo: Optional[SLOConfig] = None,
         flight_capacity: int = 256,
         flight_dump_dir: Optional[str] = None,
-        flight_keep: int = 8,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -178,7 +175,6 @@ class Observability:
         self.slo = SLOTracker(slo if slo is not None else SLOConfig())
         self.recorder = FlightRecorder(capacity=flight_capacity, clock=clock)
         self.flight_dump_dir = flight_dump_dir
-        self.flight_keep = flight_keep
 
     # -- event fan-out ---------------------------------------------------
 
@@ -251,9 +247,7 @@ class Observability:
         if not self.flight_dump_dir:
             return None
         try:
-            path = self.recorder.dump(
-                self.flight_dump_dir, reason, keep=self.flight_keep
-            )
+            path = self.recorder.dump(self.flight_dump_dir, reason)
         except OSError as error:
             self.logger.event(
                 EVENT_FLIGHT_DUMP, reason=reason, error=str(error), ok=False

@@ -44,7 +44,6 @@ __all__ = [
     "new_span_id",
     "current_context",
     "use_context",
-    "child_context",
     "EventSink",
     "use_event_sink",
     "emit_event",
@@ -144,12 +143,6 @@ def use_context(context: Optional[RequestContext]) -> Iterator[None]:
         yield
     finally:
         _current.reset(token)
-
-
-def child_context() -> Optional[RequestContext]:
-    """A child of the current context (None when nothing is bound)."""
-    context = _current.get()
-    return None if context is None else context.child()
 
 
 # ----------------------------------------------------------------------

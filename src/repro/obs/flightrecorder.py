@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List
 
 from repro.ioutil import atomic_write_json
 from repro.obs.context import current_context

@@ -32,7 +32,6 @@ __all__ = [
     "run_explorer_point",
     "run_estimate",
     "reset_warm_caches",
-    "get_warm_cache",
     "warm_cache_state",
     "seed_warm_cache",
 ]
@@ -53,11 +52,6 @@ def _warm_cache(key: str) -> WarmStartCache:
     if cache is None:
         cache = _WARM_CACHES[key] = WarmStartCache()
     return cache
-
-
-def get_warm_cache(key: str) -> WarmStartCache:
-    """This process's warm-start cache for ``key`` (created on demand)."""
-    return _warm_cache(key)
 
 
 def warm_cache_state(key: str) -> Optional[Dict[str, Any]]:

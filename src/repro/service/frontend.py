@@ -114,11 +114,10 @@ class RequestFrontend:
     COMPONENT = "service"
     config: Any
 
-    def __init__(self, telemetry: Optional[Telemetry],
-                 clock: Callable[[], float], logger: Optional[JsonLogger],
+    def __init__(self, clock: Callable[[], float],
+                 logger: Optional[JsonLogger],
                  **observability: Any) -> None:
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry.metrics_only())
+        self.telemetry = Telemetry.metrics_only()
         self.clock = clock
         if logger is None:
             logger = (JsonLogger(component=self.COMPONENT)

@@ -196,11 +196,6 @@ class AdmissionQueue:
         with self._lock:
             return self._queued_cost
 
-    def depth_history(self) -> List[Tuple[float, int]]:
-        """Recent ``(timestamp, depth)`` points, oldest first."""
-        with self._lock:
-            return list(self._depth_history)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

@@ -95,7 +95,6 @@ from repro.service.lifecycle import (
 )
 from repro.service.queue import AdmissionQueue, QueueClosed, QueueFull
 from repro.systems import build_bundle, system_names
-from repro.telemetry import Telemetry
 
 __all__ = [
     "ServiceConfig",
@@ -123,9 +122,6 @@ class ServiceConfig:
     drain_timeout_s: float = 10.0
     breaker_threshold: int = 3
     breaker_recovery_s: float = 30.0
-    #: Optional per-low-level-call watchdog; the effective watchdog is
-    #: ``min(call_watchdog_s, request's remaining deadline)``.
-    call_watchdog_s: Optional[float] = None
     checkpoint_path: Optional[str] = None
     #: Latency/availability objectives tracked by the obs layer.
     slo: SLOConfig = field(default_factory=SLOConfig)
@@ -137,8 +133,6 @@ class ServiceConfig:
     #: Directory for flight-recorder dumps on 5xx/drain; None disables
     #: dumping (the in-memory ring and /debug endpoint still work).
     flight_dump_dir: Optional[str] = None
-    #: Newest dumps kept on disk (older ones are pruned).
-    flight_dump_keep: int = 8
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -187,16 +181,14 @@ class CoEstimationService(RequestFrontend):
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None,
-                 telemetry: Optional[Telemetry] = None,
                  clock: Callable[[], float] = time.monotonic,
                  logger: Optional[JsonLogger] = None) -> None:
         self.config = config or ServiceConfig()
         super().__init__(
-            telemetry, clock, logger,
+            clock, logger,
             slo=self.config.slo,
             flight_capacity=self.config.flight_recorder_capacity,
             flight_dump_dir=self.config.flight_dump_dir,
-            flight_keep=self.config.flight_dump_keep,
         )
         self.queue = AdmissionQueue(self.config.queue_depth)
         self.breakers = BreakerRegistry(
@@ -404,12 +396,9 @@ class CoEstimationService(RequestFrontend):
                          "the queue" % (request.deadline_s, queue_wait),
                          queue_seconds=round(queue_wait, 6))
             return
-        watchdog_s = remaining
-        if self.config.call_watchdog_s is not None:
-            watchdog_s = min(watchdog_s, self.config.call_watchdog_s)
         breakers = self.breakers.scoped(request.system)
         spec = estimate_job(
-            request, watchdog_s, breakers,
+            request, remaining, breakers,
             trace=entry.context.to_payload(),
             collect_telemetry=self.telemetry.enabled,
         )
@@ -425,7 +414,7 @@ class CoEstimationService(RequestFrontend):
         started = self.clock()
         try:
             # Outer backstop only: the in-run watchdog already bounds
-            # every low-level call at `watchdog_s` and degrades instead
+            # every low-level call at `remaining` and degrades instead
             # of hanging, so this fires only if the master itself wedges.
             report, run_seconds, _, job_spans = call_with_watchdog(
                 lambda: execute_spec(spec), remaining + 1.0

@@ -33,7 +33,6 @@ from repro.cfsm.sgraph import (
     Emit,
     If,
     Loop,
-    SGraph,
     SharedRead,
     SharedWrite,
     Statement,

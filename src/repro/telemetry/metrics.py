@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 __all__ = [
     "Counter",

@@ -169,13 +169,6 @@ class TestIdleCharging:
                     Event("IN", value=1, time=500_000.0)])
         assert master.accountant.by_category.get("idle", 0) > 0
 
-    def test_idle_charging_can_be_disabled(self):
-        network = relay_network()
-        config = MasterConfig(charge_hw_idle=False)
-        master = SimulationMaster(network, config=config)
-        master.run([Event("IN", value=1, time=0.0)])
-        assert master.accountant.by_category.get("idle", 0) == 0
-
 
 class TestTruncationPins:
     """A run cut by a horizon or a dispatch cap is pinned bit for bit.

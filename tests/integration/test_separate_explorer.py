@@ -55,12 +55,12 @@ class TestExplorer:
         assert "create_pack" in point.priority_label
 
     def test_sweep_covers_grid(self, explorer):
-        points = explorer.sweep(
-            [8, 32],
-            priority_permutations(["create_pack", "ip_check"]),
-            strategy="caching",
-        )
-        assert len(points) == 4
+        points = [
+            explorer.evaluate(dma, priorities, strategy="caching")
+            for priorities in priority_permutations(["create_pack", "ip_check"])
+            for dma in [8, 32]
+        ]
+        assert len({(p.dma_block_words, p.priority_label) for p in points}) == 4
         minimum = DesignSpaceExplorer.minimum_energy_point(points)
         assert minimum in points
         assert all(minimum.total_energy_j <= p.total_energy_j for p in points)

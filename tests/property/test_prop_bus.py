@@ -3,8 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bus.busmodel import SharedBus
-from repro.bus.dma import blocks_needed
+from repro.bus.busmodel import SharedBus, blocks_needed
 from repro.bus.model import BusParameters
 
 

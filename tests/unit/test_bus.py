@@ -4,7 +4,7 @@ import pytest
 
 from repro.bus.arbiter import PriorityArbiter
 from repro.bus.busmodel import SharedBus
-from repro.bus.dma import block_sizes, blocks_needed
+from repro.bus.busmodel import blocks_needed
 from repro.bus.model import BusParameters, BusRequest
 
 
@@ -43,19 +43,10 @@ class TestBusParameters:
 
 
 class TestDma:
-    def test_block_sizes_cover_words(self):
-        assert list(block_sizes(10, True, 4)) == [4, 4, 2]
-        assert list(block_sizes(10, False, 4)) == [1] * 10
-        assert list(block_sizes(0, True, 4)) == []
-
     def test_blocks_needed(self):
         assert blocks_needed(10, True, 4) == 3
         assert blocks_needed(0, True, 4) == 0
         assert blocks_needed(5, False, 4) == 5
-
-    def test_negative_words_rejected(self):
-        with pytest.raises(ValueError):
-            list(block_sizes(-1, True, 4))
 
 
 class TestArbiter:

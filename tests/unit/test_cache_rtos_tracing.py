@@ -142,9 +142,3 @@ class TestEnergyAccountant:
         waveform_p = accountant.power_waveform(10.0, component="p")
         total_p = sum(power * 10e-9 for _, power in waveform_p)
         assert total_p == pytest.approx(5e-9, rel=1e-9)
-
-    def test_disabled_samples_forbid_waveforms(self):
-        accountant = EnergyAccountant(keep_samples=False)
-        accountant.add("p", "sw", 0.0, 1.0, 1e-9)
-        with pytest.raises(RuntimeError):
-            accountant.power_waveform(1.0)

@@ -29,6 +29,15 @@ def make_coordinator(transport, **config):
     )
 
 
+def limp(coordinator, slow, fast):
+    """Limplock ``slow`` the way the program does: observed run
+    latencies far above its peer's, then a membership refresh."""
+    for _ in range(coordinator.config.membership.limp_min_samples):
+        coordinator.membership.observe_run(fast, 0.01)
+        coordinator.membership.observe_run(slow, 1.0)
+    coordinator.refresh_membership()
+
+
 def test_estimate_routes_and_wraps_the_reply():
     seen = []
 
@@ -207,13 +216,14 @@ def test_readyz_reports_membership_states():
     assert status == 503 and body["status"] == "no_workers"
     coordinator.register_worker("w0", "http://w0")
     coordinator.register_worker("w1", "http://w1")
-    coordinator.membership.quarantine("w1", "test quarantine")
+    limp(coordinator, "w1", "w0")
     status, body = coordinator.readyz_snapshot()
     assert status == 200 and body["status"] == "ready"
     assert body["routable"] == ["w0"]
     assert body["states"]["live"] == ["w0"]
     assert body["states"]["limplocked"] == ["w1"]
-    assert body["workers"]["w1"]["quarantine_reason"] == "test quarantine"
+    assert body["workers"]["w1"]["quarantine_reason"].startswith(
+        "run latency 1.000s vs peer median 0.010s")
     assert coordinator.membership.states()["w1"] == LIMPLOCKED
     coordinator.drain_controller.request_drain("bye")
     status, body = coordinator.readyz_snapshot()
@@ -225,7 +235,7 @@ def test_quarantine_transition_counts_and_unroutes():
     coordinator.register_worker("w0", "http://w0")
     coordinator.register_worker("w1", "http://w1")
     assert sorted(coordinator.ring.nodes) == ["w0", "w1"]
-    coordinator.membership.quarantine("w1", "slow")
+    limp(coordinator, "w1", "w0")
     assert coordinator.ring.nodes == ["w0"]  # transition synced the ring
     assert coordinator._counters()["quarantines"] == 1
 

@@ -100,6 +100,13 @@ def test_control_dir_boots_as_standby_and_rejects_the_data_plane(tmp_path):
     assert body["reason"] == REASON_NOT_LEADER
 
 
+def test_lease_ttl_must_exceed_the_renew_interval():
+    for ttl in (0.5, 1.0):
+        with pytest.raises(ValueError, match="--lease-ttl-s"):
+            ClusterConfig(lease_ttl_s=ttl)
+    assert ClusterConfig(lease_ttl_s=1.5).lease_ttl_s == 1.5
+
+
 def test_without_control_dir_ha_is_inert(tmp_path):
     coordinator = ClusterCoordinator(
         ClusterConfig(membership=MembershipConfig(), backoff_base_s=0.0),

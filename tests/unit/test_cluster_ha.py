@@ -1,4 +1,4 @@
-"""Unit tests of leases and failover clients (repro.cluster.ha).
+"""Unit tests of leases (repro.cluster.ha).
 
 All time flows through an injected fake wall clock, so lease expiry,
 renewal, and the claim tiebreak are exercised deterministically.
@@ -6,8 +6,7 @@ renewal, and the claim tiebreak are exercised deterministically.
 
 import pytest
 
-from repro.cluster.ha import Lease, LeaseFile, failover_request
-from repro.cluster.protocol import TransportError
+from repro.cluster.ha import Lease, LeaseFile
 
 
 class FakeClock:
@@ -117,76 +116,3 @@ def test_lease_payload_round_trip():
                   acquired_at=10.0, expires_at=13.0)
     assert Lease.from_payload(lease.to_payload()) == lease
     assert Lease.from_payload({"holder": "a"}) is None
-
-
-# -- the failover client -----------------------------------------------
-
-
-def make_transport(answers, calls):
-    """``answers[url]`` is a (status, body) pair, an exception, or a
-    list consumed one element per call."""
-
-    def transport(method, url, path, body=None, timeout_s=30.0):
-        calls.append(url)
-        answer = answers[url]
-        if isinstance(answer, list):
-            answer = answer.pop(0)
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    return transport
-
-
-def test_failover_walks_past_unreachable_and_standby_peers():
-    calls = []
-    transport = make_transport({
-        "http://a": TransportError("down"),
-        "http://b": (503, {"status": "rejected", "reason": "not_leader"}),
-        "http://c": (200, {"status": "ok"}),
-    }, calls)
-    status, body, peer = failover_request(
-        ["http://a", "http://b", "http://c"], "POST", "/sweep",
-        body={}, transport=transport,
-    )
-    assert (status, peer) == (200, "http://c")
-    assert calls == ["http://a", "http://b", "http://c"]
-
-
-def test_failover_follows_the_leader_hint_first():
-    calls = []
-    transport = make_transport({
-        "http://standby": (503, {"reason": "not_leader",
-                                 "leader_url": "http://leader"}),
-        "http://leader": (200, {"status": "ok"}),
-        "http://other": (200, {"status": "ok"}),
-    }, calls)
-    status, body, peer = failover_request(
-        ["http://standby", "http://other"], "GET", "/stats",
-        transport=transport,
-    )
-    assert (status, peer) == (200, "http://leader")
-    assert calls == ["http://standby", "http://leader"]
-
-
-def test_failover_returns_non_leadership_errors_verbatim():
-    calls = []
-    transport = make_transport({
-        "http://a": (400, {"status": "error", "reason": "bad request"}),
-    }, calls)
-    status, body, peer = failover_request(
-        ["http://a"], "POST", "/estimate", body={}, transport=transport,
-    )
-    assert status == 400  # authoritative answer, not a failover signal
-
-
-def test_failover_raises_when_no_peer_leads():
-    transport = make_transport({
-        "http://a": TransportError("down"),
-        "http://b": (503, {"reason": "not_leader"}),
-    }, [])
-    with pytest.raises(TransportError):
-        failover_request(["http://a", "http://b"], "GET", "/readyz",
-                         transport=transport)
-    with pytest.raises(TransportError):
-        failover_request([], "GET", "/readyz", transport=transport)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfsm.builder import CfsmBuilder
-from repro.cfsm.expr import add, const, eq, event_value, land, lnot, lt, mod, var
+from repro.cfsm.expr import UnaryOp, add, const, eq, event_value, land, lt, mod, var
 from repro.cfsm.sgraph import assign, emit, if_, loop, shared_read, shared_write
 from repro.sw.codegen import (
     CodegenError,
@@ -89,7 +89,7 @@ class TestCompilation:
 
     def test_logical_ops(self):
         cfsm = make_cfsm(
-            [assign("a", land(var("b"), lnot(var("a"))))], {"a": 0, "b": 7}
+            [assign("a", land(var("b"), UnaryOp("NOT", var("a"))))], {"a": 0, "b": 7}
         )
         compiled, memory, _ = run(cfsm)
         assert memory[compiled.memory_map.variables["a"]] == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.master.export import (
-    export_energy_breakdown,
     export_power_csv,
     export_power_vcd,
     _vcd_identifier,
@@ -63,13 +62,3 @@ class TestVcd:
         codes = {_vcd_identifier(i) for i in range(300)}
         assert len(codes) == 300
 
-
-class TestBreakdown:
-    def test_contains_all_entries(self, accountant):
-        text = export_energy_breakdown(accountant)
-        for name in ("cpu", "asic", "_bus", "sw", "hw", "bus", "total"):
-            assert name in text
-
-    def test_total_value(self, accountant):
-        text = export_energy_breakdown(accountant)
-        assert "0.015 uJ" in text  # 15e-9 J total

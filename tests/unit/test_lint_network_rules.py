@@ -9,7 +9,7 @@ from repro.cfsm.sgraph import (
     emit,
     shared_write,
 )
-from repro.cfsm.validate import validate_cfsm, validate_network
+from repro.cfsm.validate import validate_network
 from repro.lint.network_rules import check_cfsm, check_network
 
 
@@ -260,15 +260,6 @@ class TestSharedWriteRaces:
 
 class TestValidateFacade:
     """The legacy validate API rides on the lint rules."""
-
-    def test_validate_cfsm_renders_strings(self):
-        builder = CfsmBuilder("bad")
-        builder.input("GO")
-        builder.transition("t", trigger=["GO"],
-                           body=[assign("ghost", const(1))])
-        issues = validate_cfsm(builder.build())
-        assert any("ghost" in issue for issue in issues)
-        assert all(isinstance(issue, str) for issue in issues)
 
     def test_advisory_rules_not_in_validate(self):
         # NET108/NET109 are advisory: strict builds must not fail on

@@ -150,10 +150,10 @@ class TestValidation:
         builder.output("PURE")  # no value
         builder.transition("t", trigger=["GO"], body=[emit("PURE", const(1))])
         cfsm = builder.build()
-        from repro.cfsm.validate import validate_cfsm
+        from repro.lint.network_rules import check_cfsm
 
-        issues = validate_cfsm(cfsm)
-        assert any("pure event" in issue for issue in issues)
+        issues = check_cfsm(cfsm)
+        assert any("pure event" in issue.message for issue in issues)
 
     def test_undeclared_trigger_rejected_at_build(self):
         builder = CfsmBuilder("bad")

@@ -6,13 +6,15 @@ for a job or builder spec), can only be reached from tests: it is dead
 code.  Package ``__init__`` modules and ``repro.__main__`` are entry
 points and are exempt.
 
-The same holds one level down.  A function or method of ``repro`` whose
-name appears nowhere in the program, the benchmarks, the examples or the
-scripts -- as a name, an attribute, an import or a word of a string
-(``getattr`` names, ``"Class.method"`` patch targets, docstrings) -- is
-dead code, unless a test reads the program through it
-(:data:`TEST_ORACLES`).  Dunder methods are called by Python itself and
-are exempt.
+The same holds one level down.  A function or method of ``repro`` that
+nothing in the program, the benchmarks, the examples or the scripts
+uses -- as a name, an attribute, an import, or a string that is wholly
+an identifier (a ``getattr`` name), a ``"Class.method"`` patch target
+or a ``"module:callable"`` spec -- is dead code, unless a test reads
+the program through it (:data:`TEST_ORACLES`).  Naming is not using:
+docstrings, ``__all__`` entries, prose strings and a package
+``__init__``'s re-exports (its imports and lazy-import tables) do not
+count.  Dunder methods are called by Python itself and are exempt.
 """
 
 import ast
@@ -29,7 +31,8 @@ EXEMPT = {"repro.__main__"}
 CALLERS = ("src/repro", "perfbench", "benchmarks", "examples", "scripts")
 
 #: Functions that only tests call, each because it shows a test what no
-#: caller of the program needs to read.
+#: caller of the program needs to read.  Each must still be called from
+#: some test.
 TEST_ORACLES = {
     # A gate-level register, checked against the behavioural state.
     "read_variable",
@@ -46,9 +49,17 @@ TEST_ORACLES = {
     "row_for",
     # Empties the ISS run memo, so that a test interprets every run.
     "clear_iss_run_memo",
+    # Reads a parameter file back: the round trip of what
+    # `repro characterize` writes with `ParameterFile.serialize`.
+    "parse",
 }
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
+_IDENTIFIER = r"[A-Za-z_]\w*"
+_WORD = re.compile(_IDENTIFIER)
+#: A string that names code: ``name``, ``Class.method``, ``pkg.mod`` or
+#: ``pkg.mod:callable``.  Anything else (a sentence, a format) is prose.
+_USE_STRING = re.compile(
+    r"{0}(?:\.{0})*(?::{0}(?:\.{0})*)?\Z".format(_IDENTIFIER))
 
 
 def _module_name(path):
@@ -113,11 +124,44 @@ def test_scan_sees_imports_and_spec_strings(tmp_path):
     }
 
 
+def _is_str(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _not_uses(tree, package_init):
+    """The nodes of ``tree`` that name code without using it."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and _is_str(first.value):
+                skipped.add(first.value)  # a docstring
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            skipped.update(ast.walk(node.value))
+    if package_init:
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                skipped.update(ast.walk(node))
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Dict)
+                  and node.value.values
+                  and all(_is_str(value) and ":" not in value.value
+                          for value in node.value.values)):
+                skipped.update(ast.walk(node.value))  # a lazy-import table
+    return skipped
+
+
 def _defined_and_named(path):
     """Function names that ``path`` defines, and the names it uses."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    skipped = _not_uses(tree, path.name == "__init__.py")
     defined, named = set(), set()
     for node in ast.walk(tree):
+        if node in skipped:
+            continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Name):
@@ -126,13 +170,13 @@ def _defined_and_named(path):
             named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif _is_str(node) and _USE_STRING.match(node.value):
             named.update(_WORD.findall(node.value))
     return defined, named
 
 
 def orphan_functions():
-    """Functions of ``repro`` that nothing outside the tests names."""
+    """Functions of ``repro`` that nothing outside the tests uses."""
     defined, named = set(), set()
     for tree in CALLERS:
         for path in sorted((ROOT / tree).rglob("*.py")):
@@ -157,20 +201,52 @@ def test_every_test_oracle_is_still_defined():
     assert TEST_ORACLES <= defined
 
 
+def test_every_test_oracle_is_called_from_a_test():
+    """An oracle whose test is gone would hide dead code.  Reading a
+    property counts as calling it."""
+    called = set()
+    for path in (ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    assert TEST_ORACLES - called == set()
+
+
 def test_function_scan_sees_calls_attributes_imports_and_strings(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text(
         '"""See :func:`documented`."""\n'
         "from repro.a import imported\n"
+        "__all__ = ['exported']\n"
         "def defined():\n"
+        "    '''Calls :func:`described`.'''\n"
         "    # commented\n"
         "    called()\n"
         "    obj.method()\n"
         "    getattr(obj, 'looked_up')\n"
+        "    log('prose names spoken here')\n"
         "    return ('Owner.patched', 'repro.b:built')\n"
     )
     defined, named = _defined_and_named(source)
     assert defined == {"defined"}
-    assert {"documented", "imported", "called", "method", "looked_up",
+    assert {"imported", "called", "method", "looked_up", "Owner",
             "patched", "built"} <= named
-    assert not {"defined", "commented"} & named
+    assert not {"defined", "commented", "documented", "described",
+                "exported", "spoken"} & named
+
+
+def test_function_scan_ignores_package_re_exports(tmp_path):
+    package = tmp_path / "__init__.py"
+    package.write_text(
+        "from repro.a import reexported\n"
+        "import repro.b.aliased\n"
+        "_LAZY = {'lazy': 'repro.c'}\n"
+        "BUILDERS = {'fig': ('repro.d:built', {})}\n"
+        "def __getattr__(name):\n"
+        "    return load(_LAZY[name])\n"
+    )
+    defined, named = _defined_and_named(package)
+    assert {"load", "built"} <= named
+    assert not {"reexported", "aliased", "lazy"} & named

@@ -6,7 +6,6 @@ import threading
 
 from repro.obs.context import (
     RequestContext,
-    child_context,
     current_context,
     emit_event,
     new_span_id,
@@ -78,14 +77,6 @@ class TestPropagation:
                 assert current_context() is None
             assert current_context() is context
         assert current_context() is None
-
-    def test_child_context_requires_a_binding(self):
-        assert child_context() is None
-        root = RequestContext.new()
-        with use_context(root):
-            child = child_context()
-        assert child is not None
-        assert child.parent_span_id == root.span_id
 
     def test_threads_do_not_inherit_by_default(self):
         seen = []

@@ -8,7 +8,6 @@ from repro.analysis.stats import (
     mean,
     ranking_preserved,
     spearman_rank_correlation,
-    variance,
 )
 from repro.core.report import EnergyReport
 
@@ -17,10 +16,6 @@ class TestMoments:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
-
-    def test_variance(self):
-        assert variance([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(4.571, rel=1e-3)
-        assert variance([5.0]) == 0.0
 
 
 class TestHistogram:
